@@ -60,15 +60,13 @@ def run_overhead(
     registries = {"enabled": recording, "disabled": MetricsRegistry(enabled=False)}
 
     def one_pass(registry: MetricsRegistry) -> float:
+        recommender = FusionRecommender(index, social_mode="sar-h", content_measure="kj")
         with use_metrics(registry):
-            with FusionRecommender(
-                index, social_mode="sar-h", content_measure="kj"
-            ) as recommender:
-                recommender.recommend(sources[0], top_k)  # warm-up
-                started = time.perf_counter()
-                for source in sources:
-                    recommender.recommend(source, top_k)
-                return time.perf_counter() - started
+            recommender.recommend(sources[0], top_k)  # warm-up
+            started = time.perf_counter()
+            for source in sources:
+                recommender.recommend(source, top_k)
+            return time.perf_counter() - started
 
     # Interleave the repeats so drift (thermal, other load) hits both
     # modes equally; keep the minimum, the least-disturbed measurement.

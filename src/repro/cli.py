@@ -521,12 +521,7 @@ def _cmd_recommend(args) -> int:
                 f"note: --deadline-ms is not supported by method {args.method!r}",
                 file=sys.stderr,
             )
-    try:
-        results = recommender.recommend(args.video, args.top_k, **extra)
-    finally:
-        closer = getattr(recommender, "close", None)
-        if closer is not None:
-            closer()
+    results = recommender.recommend(args.video, args.top_k, **extra)
     record = index.dataset.records[args.video]
     if getattr(results, "degraded", False):
         for reason in results.reasons:
@@ -775,7 +770,7 @@ def _cmd_evaluate(args) -> int:
     for method in methods:
         recommender = _make_recommender(index, method)
         reports.append(
-            evaluate_method(method.upper(), recommender, sources, panel, close=True)
+            evaluate_method(method.upper(), recommender, sources, panel)
         )
     print(format_table(reports))
     return 0
@@ -1116,13 +1111,8 @@ def _cmd_stats(args) -> int:
                     gateway.recommend(video_id, args.top_k)
         elif args.queries > 0:
             recommender = _make_recommender(index, args.method)
-            try:
-                for video_id in index.video_ids[: args.queries]:
-                    recommender.recommend(video_id, args.top_k)
-            finally:
-                closer = getattr(recommender, "close", None)
-                if closer is not None:
-                    closer()
+            for video_id in index.video_ids[: args.queries]:
+                recommender.recommend(video_id, args.top_k)
     registry.set_gauge("repro_index_videos", len(index.series))
     registry.set_gauge(
         "repro_index_signatures", sum(len(s) for s in index.series.values())

@@ -57,10 +57,9 @@ class RecommenderConfig:
         Default scoring engine of :class:`repro.core.recommender.FusionRecommender`:
         ``"batch"`` (vectorized array kernels, the production path) or
         ``"scalar"`` (per-pair Python calls, kept for parity testing and
-        the Figure-12 wall-clock benches).
-    num_workers:
-        Worker threads for the batch engine's chunked κJ fan-out over
-        candidate blocks; 0 or 1 means single-threaded.
+        the Figure-12 wall-clock benches).  The batch engine serves
+        through the pruned float32 scan whenever its kernels cover the
+        configured measures (see :mod:`repro.core.recommender`).
     max_social_staleness:
         Degraded-serving bound: when the social store reports more than
         this many skipped (lost) mutations, ``recommend`` serves
@@ -70,17 +69,6 @@ class RecommenderConfig:
         Per-query wall-clock budget in seconds for ``recommend``; when the
         candidate scan exceeds it, the best-effort partial ranking is
         returned flagged ``partial``/``degraded``.  ``None`` = unlimited.
-    scan_dtype:
-        Arithmetic width of the batch engine's content kernel:
-        ``"float32"`` (default) scores against the packed float32
-        signature bank with the sorted-merge EMD kernel, ``"float64"``
-        keeps the full-precision reference path (what parity tests pin
-        against).  ``component_scores`` always reports float64.
-    prune:
-        Enable early-termination bounds in the batch full scan and the
-        KNN refinement loop: candidate blocks whose fused-score upper
-        bound cannot enter the current top-k are skipped.  Ranking is
-        provably unchanged (DESIGN §12); disable only for A/B benches.
     knn_probes:
         LSB multi-probe width — how many of the ``lsh_trees`` hash
         tables each KNN candidate lookup probes.  ``None`` (default)
@@ -107,11 +95,8 @@ class RecommenderConfig:
     sketch_bits: int = 512
     sketch_seed: int = 0
     engine: str = "batch"
-    num_workers: int = 0
     max_social_staleness: int | None = None
     time_budget: float | None = None
-    scan_dtype: str = "float32"
-    prune: bool = True
     knn_probes: int | None = None
 
     def __post_init__(self) -> None:
@@ -124,12 +109,6 @@ class RecommenderConfig:
         if self.engine not in ("scalar", "batch"):
             raise ValueError(
                 f"engine must be 'scalar' or 'batch', got {self.engine!r}"
-            )
-        if self.num_workers < 0:
-            raise ValueError(f"num_workers must be >= 0, got {self.num_workers}")
-        if self.scan_dtype not in ("float32", "float64"):
-            raise ValueError(
-                f"scan_dtype must be 'float32' or 'float64', got {self.scan_dtype!r}"
             )
         if self.sketch_bits < 64 or self.sketch_bits % 64 != 0:
             raise ValueError(

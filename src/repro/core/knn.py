@@ -14,10 +14,10 @@ video; ``KTopScoreVideoSearch`` instead drives the two indexes:
    budgets are spent and the top-K is stable.
 
 Refinement scores candidates in **per-round blocks** through the batch
-kernels (one vectorized EMD call per query signature covers a whole
-block, and one ``minimum``/``maximum`` reduction covers the block's s̃J),
-and memoizes per-candidate component scores so interleaved streams — and
-repeated searches of the same query — never rescore a video.
+kernels (one float32 vectorized EMD call per query signature covers a
+whole block, and one ``minimum``/``maximum`` reduction covers the block's
+s̃J), and memoizes per-candidate component scores so interleaved streams
+— and repeated searches of the same query — never rescore a video.
 
 This trades a bounded amount of recall (it only scores candidates the
 indexes surface) for sub-linear query cost, exactly the deal the paper's
@@ -65,10 +65,12 @@ class KTopScoreVideoSearch:
         index configuration's ``knn_probes`` (``None`` = all trees).
     prune:
         Early-terminate candidates whose fused-score upper bound cannot
-        displace the current top-K floor (defaults to the index config).
-        Pruned candidates are skipped before the κJ kernel runs; the
+        displace the current top-K floor (the default).  Pruned
+        candidates are skipped before the float32 κJ kernel runs; the
         returned top-K is provably unchanged (a pruned score can never
         exceed the heap floor it would need to beat strictly).
+        ``False`` scores every candidate — the exhaustive reference the
+        parity tests compare against.
     """
 
     def __init__(
@@ -77,7 +79,7 @@ class KTopScoreVideoSearch:
         omega: float | None = None,
         block_size: int = 16,
         probes: int | None = None,
-        prune: bool | None = None,
+        prune: bool = True,
     ) -> None:
         if index.lsb is None:
             raise ValueError("KTopScoreVideoSearch needs the LSB index built")
@@ -91,8 +93,7 @@ class KTopScoreVideoSearch:
         self.probes = index.config.knn_probes if probes is None else int(probes)
         if self.probes is not None and self.probes < 1:
             raise ValueError(f"probes must be >= 1, got {self.probes}")
-        self.prune = index.config.prune if prune is None else bool(prune)
-        self.scan_dtype = index.config.scan_dtype
+        self.prune = bool(prune)
         #: Candidates skipped by the bound check in the most recent
         #: :meth:`search` (the recall sweep reports this).
         self.last_pruned = 0
@@ -193,7 +194,7 @@ class KTopScoreVideoSearch:
                     self.index.series[query_id],
                     fresh,
                     self.index.config.match_threshold,
-                    dtype=self.scan_dtype,
+                    dtype="float32",
                 )
                 for vid, c, s in zip(fresh, content, social):
                     memo[(query_id, vid)] = (float(c), float(s))

@@ -19,15 +19,20 @@ Two **scoring engines** drive the exhaustive scan:
   :class:`repro.measures.content.SignatureBank` turns the κJ SimC
   matrices into a handful of vectorized EMD calls, and the materialized
   ``(N, k)`` SAR matrix turns s̃J into one ``minimum``/``maximum``
-  reduction (:func:`repro.social.sar.approx_jaccard_batch`).  An optional
-  ``num_workers`` fans the κJ stage out over candidate blocks.
+  reduction (:func:`repro.social.sar.approx_jaccard_batch`).  Whenever
+  the kernels cover every term (κJ content, a SAR or sketch social mode)
+  and no deadline applies, it serves through one pruned float32 scan
+  over the packed signature bank (DESIGN §12); otherwise it scores by
+  candidate id.
 * ``"scalar"`` — the original per-pair Python calls, kept for parity
   testing and for the Figure-12 wall-clock benches whose whole point is
   measuring the per-candidate cost the batch engine amortises away.
 
 Both engines produce identical rankings (scores agree to float rounding);
 the parity suite in ``tests/test_batch_engine.py`` pins this for every
-``social_mode`` × ``content_measure`` combination.
+``social_mode`` × ``content_measure`` combination, and the hot-path
+parity tests pin the pruned scan against the float64
+:meth:`FusionRecommender.component_scores` oracle.
 
 Serving degrades instead of failing: when the social store is marked
 unavailable (or has lost more maintenance batches than the configured
@@ -45,7 +50,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -82,10 +86,6 @@ SOCIAL_MODES = ("exact", "naive", "sar", "sar-h", "sketch")
 
 #: Scoring engines of the exhaustive scan.
 ENGINES = ("scalar", "batch")
-
-#: Minimum candidates per worker chunk — below this the thread fan-out
-#: costs more than it saves.
-_MIN_CHUNK = 16
 
 #: Candidates scored between deadline checks under a time budget.  Small
 #: enough that overrun past the budget stays bounded, large enough that
@@ -241,9 +241,6 @@ class FusionRecommender:
     engine:
         ``"batch"`` or ``"scalar"``; defaults to the index configuration's
         :attr:`~repro.core.config.RecommenderConfig.engine`.
-    num_workers:
-        Worker threads for the batch engine's chunked κJ fan-out; defaults
-        to the index configuration's value.  0/1 = single-threaded.
     time_budget:
         Per-query wall-clock budget (seconds) for :meth:`recommend`;
         ``None`` (the config default) scans every candidate.
@@ -251,18 +248,17 @@ class FusionRecommender:
         Skipped-social-mutation bound beyond which :meth:`recommend`
         serves content-only; ``None`` (the config default) only degrades
         when the store is marked unavailable outright.
-    precomputed:
-        Batch engine only: when ``False``, SAR candidate histograms are
-        re-vectorized through the dictionary backend at query time (the
-        scalar path's cost model) instead of read from the index's
-        materialized SAR matrix — this keeps Figure 12(a)'s wall-clock
-        semantics available under the batch kernels.
 
     SAR modes on the **scalar** engine vectorize candidate descriptors *at
     query time* through the configured dictionary backend, so a wall-clock
     measurement of :meth:`recommend` exposes exactly the cost difference
     the paper's Figure 12(a) reports (quadratic set Jaccard vs
-    binary-search vectorization vs chained-hash vectorization).
+    binary-search vectorization vs chained-hash vectorization); the batch
+    engine reads the index's materialized SAR matrix instead.
+
+    The recommender holds no mutable per-instance state: every query
+    reads the index and query-local buffers only, so one instance may
+    serve any number of threads.
     """
 
     def __init__(
@@ -273,13 +269,8 @@ class FusionRecommender:
         content_measure: str = "kj",
         name: str | None = None,
         engine: str | None = None,
-        num_workers: int | None = None,
         time_budget: float | None = None,
         max_social_staleness: int | None = None,
-        precomputed: bool = True,
-        scan_dtype: str | None = None,
-        prune: bool | None = None,
-        fast_scan: bool = True,
     ) -> None:
         if social_mode not in SOCIAL_MODES:
             raise ValueError(
@@ -299,11 +290,6 @@ class FusionRecommender:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
-        self.num_workers = (
-            index.config.num_workers if num_workers is None else int(num_workers)
-        )
-        if self.num_workers < 0:
-            raise ValueError(f"num_workers must be >= 0, got {self.num_workers}")
         self.time_budget = (
             index.config.time_budget if time_budget is None else float(time_budget)
         )
@@ -318,16 +304,6 @@ class FusionRecommender:
             raise ValueError(
                 f"max_social_staleness must be >= 0, got {self.max_social_staleness}"
             )
-        self.precomputed = bool(precomputed)
-        self.scan_dtype = (
-            index.config.scan_dtype if scan_dtype is None else str(scan_dtype)
-        )
-        if self.scan_dtype not in ("float32", "float64"):
-            raise ValueError(
-                f"scan_dtype must be 'float32' or 'float64', got {self.scan_dtype!r}"
-            )
-        self.prune = index.config.prune if prune is None else bool(prune)
-        self.fast_scan = bool(fast_scan)
         self.social_mode = social_mode
         self.content_measure_name = content_measure
         if content_measure == "kj":
@@ -339,36 +315,7 @@ class FusionRecommender:
             self._content = _kj
         else:
             self._content = CONTENT_MEASURES[content_measure]
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_revisions: tuple[int, int] | None = None
         self.name = name or f"fusion(omega={self.omega}, {social_mode}, {content_measure})"
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut the κJ worker pool down (idempotent; a later query that
-        needs a pool lazily creates a fresh one).  Call this — or use the
-        recommender as a context manager — wherever recommenders are
-        constructed in bulk (benches, harness sweeps); an unclosed pool
-        leaks its worker threads until the recommender is collected.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_revisions = None
-
-    def __enter__(self) -> "FusionRecommender":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
     # Relevance components (per-pair public API)
@@ -459,7 +406,7 @@ class FusionRecommender:
         # happens once per query, not once per candidate; the per-candidate
         # cost (the quantity Figure 12(a) measures) is untouched.  A
         # *query_vector* bypasses the query-side vectorization entirely
-        # (sharded scatter passes the owner shard's precomputed row, which
+        # (sharded scatter passes the owner shard's materialized row, which
         # a non-owner's row-backed epoch vectorizer could not produce).
         if self.social_mode == "sketch":
             matrix, sizes, video_ids, query_vector = self._sketch_query_state(
@@ -495,24 +442,11 @@ class FusionRecommender:
     # ------------------------------------------------------------------
     # Batch engine: array kernels over all candidates at once
     # ------------------------------------------------------------------
-    def _worker_pool(self) -> ThreadPoolExecutor:
-        # Keyed on the index revision pair: a structural swap retires the
-        # old pool (and its threads) instead of accumulating executors.
-        revisions = self.index.revisions
-        if self._pool is not None and self._pool_revisions != revisions:
-            self.close()
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.num_workers, thread_name_prefix="repro-kj"
-            )
-            self._pool_revisions = revisions
-        return self._pool
-
     def _content_scores_batch(
         self,
         query_id: str,
         candidates: list[str],
-        dtype: str | None = None,
+        dtype: str = "float32",
         query_series=None,
     ) -> np.ndarray:
         if query_series is None:
@@ -523,31 +457,9 @@ class FusionRecommender:
             return self._content_scores_scalar(
                 query_id, candidates, query_series=query_series
             )
-        dtype = self.scan_dtype if dtype is None else dtype
-        bank = self.index.signature_bank()
-        threshold = self.index.config.match_threshold
-        if self.num_workers > 1 and len(candidates) >= 2 * _MIN_CHUNK:
-            if dtype == "float32":
-                # Build (or reuse) the pack on the caller's thread; the
-                # workers then share it read-only instead of racing the
-                # lazy build.
-                bank.fast_pack()
-            chunks = [
-                list(chunk)
-                for chunk in np.array_split(
-                    np.asarray(candidates, dtype=object),
-                    min(self.num_workers, len(candidates) // _MIN_CHUNK),
-                )
-                if len(chunk)
-            ]
-            parts = self._worker_pool().map(
-                lambda chunk: bank.kappa_j_scores(
-                    query_series, chunk, threshold, dtype=dtype
-                ),
-                chunks,
-            )
-            return np.concatenate(list(parts))
-        return bank.kappa_j_scores(query_series, candidates, threshold, dtype=dtype)
+        return self.index.signature_bank().kappa_j_scores(
+            query_series, candidates, self.index.config.match_threshold, dtype=dtype
+        )
 
     def _social_scores_batch(
         self, query_id: str, candidates: list[str], query_vector=None
@@ -557,9 +469,6 @@ class FusionRecommender:
             # scalar path (with hoisted query descriptor) is already it.
             return self._social_scores_scalar(query_id, candidates)
         if self.social_mode == "sketch":
-            # Sketch mode is always matrix-backed (the bank IS the
-            # materialization — there is no per-candidate re-vectorization
-            # variant, so ``precomputed`` is moot here).
             matrix, sizes, video_ids, query_vector = self._sketch_query_state(
                 query_id, query_vector
             )
@@ -577,27 +486,20 @@ class FusionRecommender:
         vectorizer = self.index.sar if self.social_mode == "sar" else self.index.sar_h
         if query_vector is None:
             query_vector = vectorizer.vectorize(self.index.descriptor(query_id))
-        if self.precomputed:
-            # Rows of the materialized matrix follow the sorted video_ids
-            # order; searchsorted maps any candidate subset (the full scan
-            # or a budget chunk) onto its rows without re-vectorizing.
-            matrix = self.index.sar_matrix(self.social_mode)
-            video_ids = np.asarray(self.index.video_ids)
-            wanted = np.asarray(candidates)
-            rows = np.searchsorted(video_ids, wanted)
-            # searchsorted returns an *insertion point* — for an id absent
-            # from the index it silently lands on some other video's row.
-            # Clamp, verify, and raise instead of scoring the wrong video.
-            missing = video_ids[np.minimum(rows, len(video_ids) - 1)] != wanted
-            if missing.any():
-                raise KeyError(
-                    f"candidate {wanted[missing][0]!r} is not in the index"
-                )
-            return approx_jaccard_batch(query_vector, matrix[rows])
-        matrix = np.stack(
-            [vectorizer.vectorize(self.index.descriptor(vid)) for vid in candidates]
-        )
-        return approx_jaccard_batch(query_vector, matrix)
+        # Rows of the materialized matrix follow the sorted video_ids
+        # order; searchsorted maps any candidate subset (the full scan
+        # or a budget chunk) onto its rows without re-vectorizing.
+        matrix = self.index.sar_matrix(self.social_mode)
+        video_ids = np.asarray(self.index.video_ids)
+        wanted = np.asarray(candidates)
+        rows = np.searchsorted(video_ids, wanted)
+        # searchsorted returns an *insertion point* — for an id absent
+        # from the index it silently lands on some other video's row.
+        # Clamp, verify, and raise instead of scoring the wrong video.
+        missing = video_ids[np.minimum(rows, len(video_ids) - 1)] != wanted
+        if missing.any():
+            raise KeyError(f"candidate {wanted[missing][0]!r} is not in the index")
+        return approx_jaccard_batch(query_vector, matrix[rows])
 
     # ------------------------------------------------------------------
     # Recommendation
@@ -609,7 +511,7 @@ class FusionRecommender:
         omega: float,
         trace=NULL_TRACE,
         metrics: MetricsRegistry = _NO_METRICS,
-        dtype: str | None = None,
+        dtype: str = "float32",
         query_series=None,
         query_vector=None,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -618,11 +520,12 @@ class FusionRecommender:
         Components a weight of *omega* would ignore are left as zeros, so
         a degraded (ω-renormalised) scan never touches the social store.
         The κJ and SAR stages are timed separately into *trace* and
-        *metrics* (both default to no-op sinks).  *dtype* overrides the
-        configured ``scan_dtype`` for the content kernel (batch engine
-        only; the scalar engine is float64 by construction).
+        *metrics* (both default to no-op sinks).  *dtype* is the batch
+        engine's κJ kernel width: the float32 packed bank by default,
+        ``"float64"`` for the reference arithmetic (the scalar engine is
+        float64 by construction).
         *query_series* / *query_vector* carry a guest query's signature
-        series and precomputed SAR vector — the sharded scatter path,
+        series and materialized SAR vector — the sharded scatter path,
         where the query video is indexed on another shard.
         """
         zeros = np.zeros(len(candidates), dtype=np.float64)
@@ -686,9 +589,8 @@ class FusionRecommender:
         if query_id not in self.index.series:
             raise KeyError(f"unknown video {query_id!r}")
         candidates = [vid for vid in self.index.video_ids if vid != query_id]
-        # Always the full-precision path: this is the float64 oracle the
-        # parameter sweeps and parity tests build on, whatever scan_dtype
-        # the serving path uses.
+        # Always the full-precision, unpruned path: this is the float64
+        # oracle the parameter sweeps and parity tests build on.
         content, social = self._score_arrays(
             query_id, candidates, self.omega, dtype="float64"
         )
@@ -736,7 +638,7 @@ class FusionRecommender:
 
         A **guest query** — one indexed elsewhere, as in the sharded
         scatter path — passes its signature series as *query_series* (and,
-        for the precomputed SAR modes on epoch views, its SAR vector as
+        for the materialized SAR modes on epoch views, its SAR vector as
         *query_vector*); every indexed video then counts as a candidate.
         """
         if top_k < 1:
@@ -763,7 +665,7 @@ class FusionRecommender:
                 fast = (
                     cutoff is None
                     and bool(self.index.video_ids)
-                    and self._fast_scan_applicable(omega)
+                    and self._pruned_scan_applicable(omega)
                 )
                 if fast:
                     bank = self.index.signature_bank()
@@ -882,26 +784,19 @@ class FusionRecommender:
     # ------------------------------------------------------------------
     # Pruned fast scan (batch engine, no deadline)
     # ------------------------------------------------------------------
-    def _fast_scan_applicable(self, omega: float) -> bool:
+    def _pruned_scan_applicable(self, omega: float) -> bool:
         """Whether the position-addressed pruned scan can serve *omega*.
 
         It needs array kernels end-to-end: the batch engine, κJ content
-        (unless ω = 1 skips content entirely), and the materialized SAR
-        matrix for the social term (unless ω = 0 skips it).  Anything
-        else falls back to the legacy per-id scan.  ``fast_scan=False``
-        forces the legacy scan unconditionally — the bench's honest
-        baseline, and an escape hatch should the fast path misbehave.
+        (unless ω = 1 skips content entirely), and a materialized SAR or
+        sketch matrix for the social term (unless ω = 0 skips it).
+        Anything else falls back to the id-addressed scan.
         """
-        if not self.fast_scan:
-            return False
         if self.engine != "batch":
             return False
         if omega < 1.0 and self.content_measure_name != "kj":
             return False
-        if omega > 0.0 and not (
-            (self.social_mode in ("sar", "sar-h") and self.precomputed)
-            or self.social_mode == "sketch"
-        ):
+        if omega > 0.0 and self.social_mode not in ("sar", "sar-h", "sketch"):
             return False
         return True
 
@@ -967,7 +862,7 @@ class FusionRecommender:
         if omega > 0.0:
             with _stage(trace, metrics, "social_scores"):
                 # An indexed query's SAR vector is a row of the
-                # precomputed matrix (rows follow pack position order, as
+                # materialized matrix (rows follow pack position order, as
                 # the candidate gather relies on) — no per-query
                 # descriptor vectorization.  A guest query brings its
                 # vector along (or, on live indexes, vectorizes its
@@ -1025,7 +920,7 @@ class FusionRecommender:
 
         if omega >= 1.0:
             # Pure social ranking: no content arithmetic at all, exactly
-            # like the legacy path's zero-content fusion.
+            # like the id-addressed scan's zero-content fusion.
             with _stage(trace, metrics, "fuse_topk"):
                 fused = (1.0 - omega) * np.zeros(m, dtype=np.float64)
                 fused += omega * social
@@ -1035,153 +930,121 @@ class FusionRecommender:
         series = query_series if query_series is not None else index.series[query_id]
         threshold = index.config.match_threshold
         with _stage(trace, metrics, "content_scores"):
-            counts = pack.counts[positions]
             n1 = len(series)
             # An indexed query's sorted/normalised/key-encoded rows and
             # its bound integrals are pack slices — no per-query packing
             # work at all.  A guest query packs once against the same
             # offset, so its keys (and therefore its scores) are bitwise
             # what they would be if it were indexed here.
-            shared_integrals = None
             if query_pos is not None:
                 query_keys, query_rows = pack.query_keys_at(query_pos)
+                query_integrals = pack.seg_integrals[query_rows]
             elif query_pack is not None:
-                query_keys, q_values, q_weights, shared_integrals = query_pack
+                # Scatter-shared integrals: valid because the sharded
+                # coordinator pins one grid across every shard.
+                query_keys, _values, _weights, query_integrals = query_pack
             else:
                 query_keys, q_values, q_weights = pack.pack_query(series)
-            if self.prune:
-                # κJ cap per candidate from the segment-CDF EMD lower
-                # bound (DESIGN §12).  For any grid segmentation,
-                # EMD(A, B) = ∫|F - G| >= Σ_t |∫_t F - ∫_t G|, so each
-                # (query sig, bank row) pair gets a SimC ceiling
-                # 1 / (1 + LB); pairs whose ceiling misses the match
-                # threshold can never be matched.  Per candidate video:
-                # matched pairs M <= min(#query sigs with any eligible
-                # partner, n2), matched SimC total <= min(Σ_i
-                # best-ceiling_i, M), and κJ = total/union <=
-                # total_cap / (n1 + n2 - M).
-                if query_pos is not None:
-                    query_integrals = pack.seg_integrals[query_rows]
-                elif shared_integrals is not None:
-                    # Scatter-shared integrals: valid because the sharded
-                    # coordinator pins one grid across every shard.
-                    query_integrals = shared_integrals
-                else:
-                    # Guest queries derive their segment integrals on the
-                    # pack's own grid — the bound inequality holds for
-                    # any grid, so pruning stays sound.
-                    query_integrals = _segment_integrals(
-                        q_values, q_weights, grid=pack.grid
-                    )[1]
-                seg = pack.seg_integrals
-                segments = seg.shape[1]
-                workspace = get_workspace()
-                lower = workspace.get("bound_lower", (n1, seg.shape[0]), np.float32)
-                # Chunked so the (n1, chunk, SEGMENTS) float32 scratch
-                # stays cache-sized at large community scale; explicit
-                # out= buffers keep the per-query path allocation-free.
-                step = 8192
-                scratch = workspace.get(
-                    "bound_scratch", (n1, min(step, seg.shape[0]), segments), np.float32
+                # Guest queries derive their segment integrals on the
+                # pack's own grid — the bound inequality holds for any
+                # grid, so pruning stays sound.
+                query_integrals = _segment_integrals(
+                    q_values, q_weights, grid=pack.grid
+                )[1]
+            # κJ cap per candidate from the segment-CDF EMD lower bound
+            # (DESIGN §12).  For any grid segmentation,
+            # EMD(A, B) = ∫|F - G| >= Σ_t |∫_t F - ∫_t G|, so each
+            # (query sig, bank row) pair gets a SimC ceiling 1 / (1 + LB);
+            # pairs whose ceiling misses the match threshold can never be
+            # matched.  Per candidate video: matched pairs M <= min(#query
+            # sigs with any eligible partner, n2), matched SimC total <=
+            # min(Σ_i best-ceiling_i, M), and κJ = total/union <=
+            # total_cap / (n1 + n2 - M).
+            seg = pack.seg_integrals
+            segments = seg.shape[1]
+            workspace = get_workspace()
+            lower = workspace.get("bound_lower", (n1, seg.shape[0]), np.float32)
+            # Chunked so the (n1, chunk, SEGMENTS) float32 scratch stays
+            # cache-sized at large community scale; explicit out= buffers
+            # keep the per-query path allocation-free.
+            step = 8192
+            scratch = workspace.get(
+                "bound_scratch", (n1, min(step, seg.shape[0]), segments), np.float32
+            )
+            for chunk_start in range(0, seg.shape[0], step):
+                chunk_stop = min(seg.shape[0], chunk_start + step)
+                part = scratch[:, : chunk_stop - chunk_start]
+                np.subtract(
+                    query_integrals[:, None, :],
+                    seg[None, chunk_start:chunk_stop, :],
+                    out=part,
                 )
-                for chunk_start in range(0, seg.shape[0], step):
-                    chunk_stop = min(seg.shape[0], chunk_start + step)
-                    part = scratch[:, : chunk_stop - chunk_start]
-                    np.subtract(
-                        query_integrals[:, None, :],
-                        seg[None, chunk_start:chunk_stop, :],
-                        out=part,
-                    )
-                    np.abs(part, out=part)
-                    # Segment-sum as a BLAS gemv against a ones vector —
-                    # ~3x faster than np.sum over the tiny last axis.
-                    np.matmul(
-                        part,
-                        _bound_ones(segments),
-                        out=lower[:, chunk_start:chunk_stop],
-                    )
-                # The SimC ceiling 1 / (1 + max(LB - 1e-3, 0)) decreases
-                # monotonically in LB, so per-pair arithmetic reduces
-                # first (min LB per video) and maps after — three passes
-                # over the (n1, rows) matrix instead of a dozen.  The
-                # eligibility cut inverts "ceiling >= threshold" into LB
-                # space; the 1e-3 slack absorbs float32 drift of both
-                # sides' integrals and kernel rounding of computed EMDs.
-                cut = (
-                    np.float32(1.0 / threshold - 1.0 + 1e-3)
-                    if threshold > 0.0
-                    else np.float32(np.inf)
+                np.abs(part, out=part)
+                # Segment-sum as a BLAS gemv against a ones vector — ~3x
+                # faster than np.sum over the tiny last axis.
+                np.matmul(
+                    part,
+                    _bound_ones(segments),
+                    out=lower[:, chunk_start:chunk_stop],
                 )
-                best_lower = np.minimum.reduceat(lower, pack.starts, axis=1)
-                best = 1.0 / (1.0 + np.maximum(best_lower - 1e-3, 0.0))
-                best[best_lower > cut] = 0.0
-                sig_edges = (best > 0.0).sum(axis=0)
-                matched_cap = np.minimum(sig_edges, pack.counts)
-                total_cap = np.minimum(best.sum(axis=0), matched_cap)
-                caps = (total_cap / (n1 + pack.counts - matched_cap))[positions]
-                # Inflate by the kernel's relative error budget so a
-                # float32 EMD rounding up can never push a computed κJ
-                # past its cap (float64 rounding is covered a fortiori).
-                caps *= 1.0 + 2e-6
-                np.minimum(caps, 1.0, out=caps)
-                bounds = (1.0 - omega) * caps
-                if omega > 0.0:
-                    bounds += omega * social
-                order = np.argsort(-bounds, kind="stable")
-            else:
-                bounds = None
-                order = np.arange(m)
-
-            if self.scan_dtype == "float32":
-
-                def content_block(block_positions):
-                    return bank.kappa_j_scores_at(
-                        query_keys, block_positions, threshold, pack=pack
-                    )
-
-            else:
-
-                def content_block(block_positions):
-                    return bank.kappa_j_scores(
-                        series,
-                        pack.ids[block_positions].tolist(),
-                        threshold,
-                        dtype="float64",
-                    )
+            # The SimC ceiling 1 / (1 + max(LB - 1e-3, 0)) decreases
+            # monotonically in LB, so per-pair arithmetic reduces first
+            # (min LB per video) and maps after — three passes over the
+            # (n1, rows) matrix instead of a dozen.  The eligibility cut
+            # inverts "ceiling >= threshold" into LB space; the 1e-3 slack
+            # absorbs float32 drift of both sides' integrals and kernel
+            # rounding of computed EMDs.
+            cut = (
+                np.float32(1.0 / threshold - 1.0 + 1e-3)
+                if threshold > 0.0
+                else np.float32(np.inf)
+            )
+            best_lower = np.minimum.reduceat(lower, pack.starts, axis=1)
+            best = 1.0 / (1.0 + np.maximum(best_lower - 1e-3, 0.0))
+            best[best_lower > cut] = 0.0
+            sig_edges = (best > 0.0).sum(axis=0)
+            matched_cap = np.minimum(sig_edges, pack.counts)
+            total_cap = np.minimum(best.sum(axis=0), matched_cap)
+            caps = (total_cap / (n1 + pack.counts - matched_cap))[positions]
+            # Inflate by the kernel's relative error budget so a float32
+            # EMD rounding up can never push a computed κJ past its cap.
+            caps *= 1.0 + 2e-6
+            np.minimum(caps, 1.0, out=caps)
+            bounds = (1.0 - omega) * caps
+            if omega > 0.0:
+                bounds += omega * social
+            order = np.argsort(-bounds, kind="stable")
+            descending = -bounds[order]
 
             scores = np.empty(m, dtype=np.float64)
             scanned = 0
             limit = m
-            if bounds is not None:
-                descending = -bounds[order]
-                if initial_threshold is not None:
-                    # A fused score this good already exists elsewhere in
-                    # the scatter: start from its qualifying prefix.
-                    limit = int(
-                        np.searchsorted(
-                            descending, -float(initial_threshold), side="right"
-                        )
-                    )
             # The first block is sized so the typical query's qualifying
             # prefix (~2-3x top_k in practice) fits in ONE kernel call —
             # a handful of extra vectorized EMD rows cost far less than a
             # second block's worth of gather/kernel/greedy dispatch.
             block = max(32, 2 * top_k)
-            if initial_threshold is not None and bounds is not None:
-                # A seeded scan already knows its qualifying prefix; one
-                # kernel call over it beats doubling blocks whose fixed
-                # dispatch cost dominates at trimmed sizes.
+            if initial_threshold is not None:
+                # A fused score this good already exists elsewhere in the
+                # scatter: start from its qualifying prefix, in one kernel
+                # call — doubling blocks' fixed dispatch cost dominates at
+                # trimmed sizes.
+                limit = int(
+                    np.searchsorted(descending, -float(initial_threshold), side="right")
+                )
                 block = max(block, min(limit, 256))
             while scanned < limit:
                 selection = order[scanned : min(scanned + block, limit)]
-                content = content_block(positions[selection])
+                content = bank.kappa_j_scores_at(
+                    query_keys, positions[selection], threshold, pack=pack
+                )
                 np.minimum(content, 1.0, out=content)
                 fused = (1.0 - omega) * content
                 if omega > 0.0:
                     fused += omega * social[selection]
                 scores[scanned : scanned + selection.size] = fused
                 scanned += selection.size
-                if bounds is not None and scanned >= top_k:
+                if scanned >= top_k:
                     kth = np.partition(scores[:scanned], scanned - top_k)[
                         scanned - top_k
                     ]
@@ -1208,7 +1071,7 @@ class FusionRecommender:
 def rank_components_scored(
     components: dict[str, tuple[float, float]], omega: float, top_k: int
 ) -> tuple[list[str], list[float]]:
-    """Rank precomputed component scores; returns ``(ids, fused scores)``."""
+    """Rank already-computed component scores; returns ``(ids, fused scores)``."""
     scored = sorted(
         ((fuse_fj(content, social, omega), candidate_id)
          for candidate_id, (content, social) in components.items()),
@@ -1221,7 +1084,7 @@ def rank_components_scored(
 def rank_components(
     components: dict[str, tuple[float, float]], omega: float, top_k: int
 ) -> list[str]:
-    """Rank precomputed component scores under fusion weight *omega*."""
+    """Rank already-computed component scores under fusion weight *omega*."""
     return rank_components_scored(components, omega, top_k)[0]
 
 

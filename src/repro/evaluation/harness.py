@@ -61,7 +61,6 @@ def evaluate_method(
     panel: JudgePanel,
     top_ks: Sequence[int] = (5, 10, 20),
     exclude_query: bool = True,
-    close: bool = False,
     registry=None,
 ) -> EffectivenessReport:
     """Run *recommend* for every source and score the returned lists.
@@ -76,10 +75,7 @@ def evaluate_method(
     recorded into *registry* (the process-wide
     :func:`~repro.obs.get_metrics` one by default) as the
     ``repro_harness_query_seconds`` histogram and
-    ``repro_harness_queries_total`` counter.  With ``close=True`` the
-    recommender's ``close()`` (when it has one) is called afterwards, so
-    sweeps that construct one recommender per configuration do not leak
-    κJ worker pools.
+    ``repro_harness_queries_total`` counter.
     """
     if not sources:
         raise ValueError("need at least one source video")
@@ -88,22 +84,13 @@ def evaluate_method(
     max_k = max(top_ks)
     ranked_lists: dict[str, list[str]] = {}
     started = time.perf_counter()
-    try:
-        for source in sources:
-            with metrics.time("repro_harness_query_seconds"):
-                results = list(
-                    recommend_fn(source, max_k + (1 if exclude_query else 0))
-                )
-            metrics.inc("repro_harness_queries_total")
-            if exclude_query:
-                results = [video_id for video_id in results if video_id != source]
-            ranked_lists[source] = results[:max_k]
-    finally:
-        if close:
-            owner = getattr(recommend, "__self__", recommend)
-            closer = getattr(owner, "close", None)
-            if closer is not None:
-                closer()
+    for source in sources:
+        with metrics.time("repro_harness_query_seconds"):
+            results = list(recommend_fn(source, max_k + (1 if exclude_query else 0)))
+        metrics.inc("repro_harness_queries_total")
+        if exclude_query:
+            results = [video_id for video_id in results if video_id != source]
+        ranked_lists[source] = results[:max_k]
     seconds = time.perf_counter() - started
 
     rows = []

@@ -51,6 +51,10 @@ from repro.testing.faults import FaultPlan
 
 __all__ = ["save_index", "load_index"]
 
+#: Scan-engine options older snapshots stored in their config; the scan
+#: they selected no longer exists, so loading ignores them.
+_RETIRED_CONFIG_KEYS = ("num_workers", "scan_dtype", "prune")
+
 
 def series_to_dict(series: SignatureSeries) -> list[dict]:
     """Serialise a signature series (shared with the WAL's ingest records)."""
@@ -231,6 +235,8 @@ def load_index(
 
     dataset = dataset_from_dict(payload["dataset"])
     config_dict = dict(payload["config"])
+    for key in _RETIRED_CONFIG_KEYS:
+        config_dict.pop(key, None)
     config_dict["embedding_range"] = tuple(config_dict["embedding_range"])
     config = RecommenderConfig(**config_dict)
 

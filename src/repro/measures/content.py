@@ -864,7 +864,7 @@ class SignatureBank:
         One vectorized EMD call per query signature covers every listed
         candidate at once; the greedy matching then consumes per-candidate
         column slices of the shared SimC matrix.  When *video_ids* is a
-        strict subset (KNN refinement blocks, worker chunks) only the
+        strict subset (KNN refinement blocks, budget chunks) only the
         relevant signature rows are gathered and scored.
 
         ``dtype="float32"`` routes through the packed fast path

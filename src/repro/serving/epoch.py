@@ -168,14 +168,13 @@ class CommunityEpoch:
     def recommender(self, **kwargs) -> FusionRecommender:
         """A :class:`FusionRecommender` bound to this frozen epoch.
 
-        ``num_workers`` is forced to 0: epoch recommenders are shared by
-        concurrent reader threads, and the worker-pool seam is the one
-        piece of per-recommender mutable state.  Everything else the
-        recommender touches during a query is frozen epoch state or
-        query-local, so one instance serves any number of threads.
+        Epoch recommenders are shared by concurrent reader threads.  A
+        recommender keeps no mutable per-instance state — everything it
+        touches during a query is frozen epoch state or query-local — so
+        one instance serves any number of threads.
         """
         kwargs.setdefault("time_budget", None)
-        return FusionRecommender(self, num_workers=0, **kwargs)
+        return FusionRecommender(self, **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

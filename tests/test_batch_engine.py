@@ -179,26 +179,6 @@ class TestEngineConfiguration:
         with pytest.raises(ValueError, match="engine"):
             FusionRecommender(index, engine="gpu")
 
-    def test_invalid_num_workers_rejected(self, index):
-        with pytest.raises(ValueError, match="num_workers"):
-            FusionRecommender(index, num_workers=-1)
-
-    def test_workers_match_single_threaded(self, workload, index):
-        single = FusionRecommender(index, engine="batch", num_workers=0)
-        fanned = FusionRecommender(index, engine="batch", num_workers=2)
-        query = workload.sources[0]
-        assert single.recommend(query, 10) == fanned.recommend(query, 10)
-        a = single.component_scores(query)
-        b = fanned.component_scores(query)
-        for vid in a:
-            assert a[vid] == pytest.approx(b[vid], abs=1e-12)
-
-    def test_precomputed_false_matches_precomputed(self, workload, index):
-        pre = FusionRecommender(index, social_mode="sar-h", precomputed=True)
-        live = FusionRecommender(index, social_mode="sar-h", precomputed=False)
-        query = workload.sources[1]
-        assert pre.recommend(query, 10) == live.recommend(query, 10)
-
 
 class TestMaintenanceInvalidation:
     """The cached SAR matrices must track incremental social maintenance.

@@ -117,16 +117,30 @@ class TestStaleness:
 
 
 class TestTimeBudget:
-    def test_generous_budget_matches_unbudgeted(self, live, query):
-        unbudgeted = FusionRecommender(live, omega=0.7, social_mode="sar-h").recommend(
-            query, 8
-        )
-        for engine in ("batch", "scalar"):
-            budgeted = FusionRecommender(
-                live, omega=0.7, social_mode="sar-h", engine=engine, time_budget=120.0
-            ).recommend(query, 8)
-            assert list(budgeted) == list(unbudgeted)
-            assert not budgeted.partial
+    @pytest.mark.parametrize("social_mode", ["sar", "sar-h", "sketch"])
+    @pytest.mark.parametrize("omega", [0.0, 0.6, 1.0])
+    def test_generous_budget_matches_unbudgeted(self, live, social_mode, omega):
+        # The chunked id-addressed scan a budget selects must rank exactly
+        # like the pruned scan that serves unbudgeted queries.
+        unbudgeted_rec = FusionRecommender(live, omega=omega, social_mode=social_mode)
+        for query in live.video_ids[::6]:
+            unbudgeted = unbudgeted_rec.recommend(query, 8)
+            for engine in ("batch", "scalar"):
+                budgeted = FusionRecommender(
+                    live,
+                    omega=omega,
+                    social_mode=social_mode,
+                    engine=engine,
+                    time_budget=120.0,
+                ).recommend(query, 8)
+                assert list(budgeted) == list(unbudgeted)
+                # The scalar engine is float64, so it meets the float32
+                # scan at the kernel's relative tolerance.
+                rel = 1e-5 if engine == "scalar" else None
+                assert budgeted.scores == pytest.approx(
+                    unbudgeted.scores, rel=rel, abs=1e-6
+                )
+                assert not budgeted.partial
 
     def test_tiny_budget_returns_flagged_partial_prefix(self, dataset):
         # > one scoring chunk of candidates, so the deadline can cut the scan.

@@ -1,11 +1,12 @@
 """Parity and bound tests for the sub-millisecond fused-scan hot path.
 
-The optimized read path (float32 packed signature banks, segment-CDF
-pruning bounds, position-addressed kernels, the gateway's epoch-keyed
-query memo) must return the *same top-k ids* as the float64 pre-
-optimization batch engine — bit-identical ranking, scores within
-float32 tolerance — across every knob combination.  DESIGN §12 states
-the contracts; this file pins them.
+The serving scan (float32 packed signature banks, segment-CDF pruning
+bounds, position-addressed kernels, the gateway's epoch-keyed query
+memo) must return the *same top-k ids* as the float64 unpruned oracle —
+every candidate's :meth:`FusionRecommender.component_scores`, fused and
+ranked by :func:`rank_components_scored` — bit-identical ranking,
+scores within float32 tolerance.  DESIGN §12 states the contracts; this
+file pins them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.community import build_workload
 from repro.community.models import CommunityDataset
 from repro.core import CommunityIndex, LiveCommunityIndex, RecommenderConfig
 from repro.core.knn import KTopScoreVideoSearch
-from repro.core.recommender import FusionRecommender
+from repro.core.recommender import FusionRecommender, rank_components_scored
 from repro.core.stores import ContentStore, SocialStore
 from repro.emd.one_dim import emd_1d, pack_emd_keys
 from repro.measures.content import kappa_j
@@ -28,10 +29,6 @@ from repro.signatures.series import SignatureSeries
 from repro.social.descriptor import SocialDescriptor
 
 TOP_K = 8
-
-#: The engine exactly as it stood before the hot-path work: float64
-#: kernels, no pruning, legacy id-addressed scan.
-ORACLE = {"fast_scan": False, "scan_dtype": "float64", "prune": False}
 
 
 def build_synthetic_index(
@@ -93,54 +90,55 @@ def queries(index):
     return list(index.video_ids[::9][:8])
 
 
-def _rankings(index, queries, omega, social_mode, content_measure, **kwargs):
-    with FusionRecommender(
+def _recommender(index, omega, social_mode, content_measure):
+    return FusionRecommender(
         index,
         omega=omega,
         social_mode=social_mode,
         content_measure=content_measure,
         engine="batch",
-        **kwargs,
-    ) as rec:
-        out = []
-        for q in queries:
-            ranked = rec.recommend(q, TOP_K)
-            out.append((list(ranked), list(getattr(ranked, "scores", []) or [])))
+    )
+
+
+def _rankings(index, queries, omega, social_mode, content_measure):
+    rec = _recommender(index, omega, social_mode, content_measure)
+    out = []
+    for q in queries:
+        ranked = rec.recommend(q, TOP_K)
+        out.append((list(ranked), list(ranked.scores)))
     return out
 
 
+def _oracle(index, queries, omega, social_mode, content_measure):
+    """``(ids, scores)`` per query from the float64 unpruned arithmetic."""
+    rec = _recommender(index, omega, social_mode, content_measure)
+    return [
+        rank_components_scored(rec.component_scores(q), omega, TOP_K)
+        for q in queries
+    ]
+
+
 class TestParityMatrix:
-    """Fast-path knobs x fusion modes vs the float64 oracle."""
+    """The serving scan x fusion modes vs the float64 oracle."""
 
     @pytest.mark.parametrize("social_mode", ["sar", "sar-h"])
     @pytest.mark.parametrize("omega", [0.0, 0.6, 1.0])
-    @pytest.mark.parametrize(
-        "knobs",
-        [
-            {"prune": True, "scan_dtype": "float32"},
-            {"prune": False, "scan_dtype": "float32"},
-            {"prune": True, "scan_dtype": "float64"},
-            {"prune": False, "scan_dtype": "float64"},
-        ],
-        ids=["prune+f32", "f32", "prune+f64", "f64"],
-    )
-    def test_topk_ids_bit_identical(self, index, queries, social_mode, omega, knobs):
-        oracle = _rankings(index, queries, omega, social_mode, "kj", **ORACLE)
-        fast = _rankings(index, queries, omega, social_mode, "kj", **knobs)
+    def test_topk_ids_bit_identical(self, index, queries, social_mode, omega):
+        oracle = _oracle(index, queries, omega, social_mode, "kj")
+        fast = _rankings(index, queries, omega, social_mode, "kj")
         for (oracle_ids, oracle_scores), (fast_ids, fast_scores) in zip(oracle, fast):
             assert fast_ids == oracle_ids
-            if oracle_scores and fast_scores:
-                np.testing.assert_allclose(
-                    fast_scores, oracle_scores, rtol=1e-5, atol=1e-6
-                )
+            np.testing.assert_allclose(
+                fast_scores, oracle_scores, rtol=1e-5, atol=1e-6
+            )
 
     @pytest.mark.parametrize("social_mode", ["exact", "naive"])
     def test_non_array_social_modes_fall_back_with_parity(
         self, index, queries, social_mode
     ):
         # These modes have no SAR matrix, so the fast scan must route to
-        # the legacy path — same results, no crash.
-        oracle = _rankings(index, queries[:3], 0.5, social_mode, "kj", **ORACLE)
+        # the id-addressed scan — same results, no crash.
+        oracle = _oracle(index, queries[:3], 0.5, social_mode, "kj")
         fast = _rankings(index, queries[:3], 0.5, social_mode, "kj")
         assert [ids for ids, _ in fast] == [ids for ids, _ in oracle]
 
@@ -148,7 +146,7 @@ class TestParityMatrix:
     def test_non_kj_measures_fall_back_with_parity(
         self, index, queries, content_measure
     ):
-        oracle = _rankings(index, queries[:2], 0.5, "sar-h", content_measure, **ORACLE)
+        oracle = _oracle(index, queries[:2], 0.5, "sar-h", content_measure)
         fast = _rankings(index, queries[:2], 0.5, "sar-h", content_measure)
         assert [ids for ids, _ in fast] == [ids for ids, _ in oracle]
 
@@ -159,25 +157,38 @@ class TestParityMatrix:
         # the pruned float32 path and the oracle.
         clones = [list(index.video_ids)[0], list(index.video_ids)[-1]]
         for query in clones:
-            oracle = _rankings(index, [query], 0.6, "sar-h", "kj", **ORACLE)
+            oracle = _oracle(index, [query], 0.6, "sar-h", "kj")
             fast = _rankings(index, [query], 0.6, "sar-h", "kj")
             assert fast[0][0] == oracle[0][0]
 
-    def test_fast_scan_flag_forces_legacy(self, index):
-        with FusionRecommender(index, engine="batch", fast_scan=False) as rec:
-            assert not rec._fast_scan_applicable(0.5)
-        with FusionRecommender(index, engine="batch") as rec:
-            assert rec._fast_scan_applicable(0.5)
+    def test_pruned_scan_applicability(self, index):
+        # The pruned scan serves exactly when array kernels cover every
+        # term the fusion weight keeps.
+        def applicable(omega, social_mode="sar-h", content_measure="kj", **kw):
+            rec = FusionRecommender(
+                index,
+                social_mode=social_mode,
+                content_measure=content_measure,
+                **kw,
+            )
+            return rec._pruned_scan_applicable(omega)
+
+        assert applicable(0.5)
+        assert applicable(0.5, social_mode="sketch")
+        assert not applicable(0.5, engine="scalar")
+        assert not applicable(0.5, social_mode="exact")
+        assert applicable(0.0, social_mode="exact")
+        assert not applicable(0.5, content_measure="erp")
+        assert applicable(1.0, content_measure="erp")
 
     def test_pruning_skips_candidates_and_keeps_ranking(self, index, queries):
         registry = MetricsRegistry()
-        with use_metrics(registry), FusionRecommender(
-            index, omega=0.6, engine="batch", prune=True
-        ) as rec:
+        rec = FusionRecommender(index, omega=0.6, engine="batch")
+        with use_metrics(registry):
             pruned_results = [list(rec.recommend(q, TOP_K)) for q in queries]
         counters = registry.snapshot()["counters"]
         assert counters.get("repro_candidates_pruned_total", 0) > 0
-        oracle = _rankings(index, queries, 0.6, "sar-h", "kj", **ORACLE)
+        oracle = _oracle(index, queries, 0.6, "sar-h", "kj")
         assert pruned_results == [ids for ids, _ in oracle]
 
 
@@ -209,8 +220,8 @@ class TestSegmentBound:
         threshold = index.config.match_threshold
         pack = index.signature_bank().fast_pack()
         for query in queries[:4]:
-            with FusionRecommender(index, omega=0.0, engine="batch", **ORACLE) as rec:
-                components = rec.component_scores(query)
+            rec = FusionRecommender(index, omega=0.0, engine="batch")
+            components = rec.component_scores(query)
             pos = pack.index_of[query]
             rows = slice(int(pack.starts[pos]), int(pack.starts[pos]) + int(pack.counts[pos]))
             lower = np.abs(
@@ -270,18 +281,18 @@ class TestSocialGuard:
     def test_unknown_candidate_raises_instead_of_mismapping(self, index):
         # np.searchsorted returns an insertion point for absent ids; the
         # guard must turn that into a KeyError, never a wrong row.
-        with FusionRecommender(index, engine="batch") as rec:
-            query = list(index.video_ids)[0]
-            with pytest.raises(KeyError, match="zzz-missing"):
-                rec._social_scores_batch(query, ["zzz-missing"])
+        rec = FusionRecommender(index, engine="batch")
+        query = list(index.video_ids)[0]
+        with pytest.raises(KeyError, match="zzz-missing"):
+            rec._social_scores_batch(query, ["zzz-missing"])
 
     def test_present_candidates_map_to_their_own_rows(self, index):
-        with FusionRecommender(index, engine="batch") as rec:
-            query = list(index.video_ids)[0]
-            candidates = list(index.video_ids)[1:5]
-            batch = rec._social_scores_batch(query, candidates)
-            scalar = rec._social_scores_scalar(query, candidates)
-            np.testing.assert_allclose(batch, scalar, rtol=1e-9)
+        rec = FusionRecommender(index, engine="batch")
+        query = list(index.video_ids)[0]
+        candidates = list(index.video_ids)[1:5]
+        batch = rec._social_scores_batch(query, candidates)
+        scalar = rec._social_scores_scalar(query, candidates)
+        np.testing.assert_allclose(batch, scalar, rtol=1e-9)
 
 
 class TestKnnFastPath:
@@ -297,7 +308,7 @@ class TestKnnFastPath:
 
     def test_prune_parity(self, knn_index):
         query = list(knn_index.video_ids)[0]
-        pruned = KTopScoreVideoSearch(knn_index, prune=True).search(query, top_k=6)
+        pruned = KTopScoreVideoSearch(knn_index).search(query, top_k=6)
         exhaustive = KTopScoreVideoSearch(knn_index, prune=False).search(query, top_k=6)
         assert [r.video_id for r in pruned] == [r.video_id for r in exhaustive]
 

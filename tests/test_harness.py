@@ -132,19 +132,3 @@ class TestObservability:
                 panel,
             )
         assert registry.value("repro_harness_queries_total") == 2
-
-    def test_close_called_even_when_recommender_raises(self, workload, panel):
-        closed = []
-
-        class Exploding:
-            def recommend(self, query_id, top_k):
-                raise RuntimeError("boom")
-
-            def close(self):
-                closed.append(True)
-
-        with pytest.raises(RuntimeError, match="boom"):
-            evaluate_method(
-                "bad", Exploding(), workload.sources[:1], panel, close=True
-            )
-        assert closed == [True]

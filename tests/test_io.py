@@ -114,6 +114,28 @@ class TestIndexRoundtrip:
             == csf_sar_h_recommender(restored).recommend(query, 5)
         )
 
+    def test_snapshot_with_retired_scan_options_loads(self, built, tmp_path):
+        # Snapshots written before the scan options were retired still
+        # carry them in their stored config.
+        path = tmp_path / "index.json.gz"
+        save_index(built, path)
+        document = json.loads(gzip.decompress(path.read_bytes()))
+        document["payload"]["config"].update(
+            num_workers=2, scan_dtype="float64", prune=False
+        )
+        document["crc32"] = zlib.crc32(
+            json.dumps(
+                document["payload"], sort_keys=True, separators=(",", ":")
+            ).encode()
+        )
+        path.write_bytes(gzip.compress(json.dumps(document).encode()))
+        restored = load_index(path)
+        assert restored.config == built.config
+        query = built.video_ids[0]
+        assert csf_sar_h_recommender(restored).recommend(
+            query, 5
+        ) == csf_sar_h_recommender(built).recommend(query, 5)
+
     def test_wrong_kind_rejected(self, dataset, tmp_path):
         path = tmp_path / "dataset.json.gz"
         save_dataset(dataset, path)

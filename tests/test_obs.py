@@ -225,16 +225,15 @@ def _instrumented_run(dataset, registry):
     """A fixed serve+ingest workload recorded into *registry*."""
     with use_metrics(registry):
         live = LiveCommunityIndex(dataset, RecommenderConfig(k=8))
-        with FusionRecommender(live, omega=0.7, social_mode="sar-h") as rec:
-            for query in live.video_ids[:3]:
-                rec.recommend(query, 5)
+        rec = FusionRecommender(live, omega=0.7, social_mode="sar-h")
+        for query in live.video_ids[:3]:
+            rec.recommend(query, 5)
         live.apply_comments(
             [(c.user_id, c.video_id) for c in dataset.comments[:20]],
             incremental=True,
         )
         live.retire_video(live.video_ids[-1])
-        with FusionRecommender(live, omega=0.0) as rec:
-            rec.recommend(live.video_ids[0], 5)
+        FusionRecommender(live, omega=0.0).recommend(live.video_ids[0], 5)
     return registry
 
 
@@ -271,25 +270,23 @@ class TestDeterminism:
 class TestRecommendTracing:
     def test_stage_durations_sum_close_to_total(self, dataset):
         live = LiveCommunityIndex(dataset, RecommenderConfig(k=8))
-        with FusionRecommender(live, omega=0.7, social_mode="sar-h") as rec:
-            best = 0.0
-            for _ in range(3):  # retry headroom for loaded CI machines
-                trace = QueryTrace("recommend")
-                rec.recommend(live.video_ids[0], 5, trace=trace)
-                covered = sum(
-                    node.seconds for node in trace.root.children.values()
-                )
-                best = max(best, covered / trace.total_seconds)
-                if best >= 0.9:
-                    break
+        rec = FusionRecommender(live, omega=0.7, social_mode="sar-h")
+        best = 0.0
+        for _ in range(3):  # retry headroom for loaded CI machines
+            trace = QueryTrace("recommend")
+            rec.recommend(live.video_ids[0], 5, trace=trace)
+            covered = sum(node.seconds for node in trace.root.children.values())
+            best = max(best, covered / trace.total_seconds)
+            if best >= 0.9:
+                break
         assert best >= 0.9
         assert best <= 1.0 + 1e-9
 
     def test_trace_covers_the_expected_stages(self, dataset):
         live = LiveCommunityIndex(dataset, RecommenderConfig(k=8))
         trace = QueryTrace("recommend")
-        with FusionRecommender(live, omega=0.7, social_mode="sar-h") as rec:
-            rec.recommend(live.video_ids[0], 5, trace=trace)
+        rec = FusionRecommender(live, omega=0.7, social_mode="sar-h")
+        rec.recommend(live.video_ids[0], 5, trace=trace)
         assert set(trace.stage_seconds()) == {
             "candidates",
             "content_scores",
@@ -301,18 +298,19 @@ class TestRecommendTracing:
         live = LiveCommunityIndex(dataset, RecommenderConfig(k=8))
         live.social_store.mark_unavailable("blip")
         trace = QueryTrace("recommend")
-        with FusionRecommender(live, omega=0.7) as rec:
-            results = rec.recommend(live.video_ids[0], 5, trace=trace)
+        results = FusionRecommender(live, omega=0.7).recommend(
+            live.video_ids[0], 5, trace=trace
+        )
         assert results.degraded
         assert "social_scores" not in trace.stage_seconds()
 
     def test_budgeted_scan_aggregates_chunks_into_one_stage_node(self, dataset):
         live = LiveCommunityIndex(dataset, RecommenderConfig(k=8))
         trace = QueryTrace("recommend")
-        with FusionRecommender(
+        rec = FusionRecommender(
             live, omega=0.7, social_mode="sar-h", time_budget=120.0
-        ) as rec:
-            rec.recommend(live.video_ids[0], 5, trace=trace)
+        )
+        rec.recommend(live.video_ids[0], 5, trace=trace)
         content = trace.root.children["content_scores"]
         assert content.count >= 1  # one aggregated node, however many chunks
         assert set(trace.stage_seconds()) >= {"content_scores", "social_scores"}

@@ -69,8 +69,8 @@ def query(live):
 class TestEpochs:
     def test_initial_epoch_serves_master_parity(self, gateway, live, query):
         served = gateway.recommend(query, top_k=8)
-        with FusionRecommender(live) as direct:
-            assert list(served) == list(direct.recommend(query, top_k=8))
+        direct = FusionRecommender(live)
+        assert list(served) == list(direct.recommend(query, top_k=8))
         assert served.epoch_id == 0
         assert served.omega_served == live.config.omega
 
@@ -387,8 +387,8 @@ class TestBreaker:
         )
         plan.arm_failures(SERVE_SOCIAL_POINT, -1)
         degraded = gw.recommend(query, top_k=8)
-        with FusionRecommender(live, omega=0.0) as oracle:
-            assert list(degraded) == list(oracle.recommend(query, top_k=8))
+        oracle = FusionRecommender(live, omega=0.0)
+        assert list(degraded) == list(oracle.recommend(query, top_k=8))
 
 
 # ----------------------------------------------------------------------
