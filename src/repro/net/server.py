@@ -200,11 +200,8 @@ def _membership_probe(gateway):
     """
     index = getattr(gateway, "_master", None)
     if index is None:
-        sharded = getattr(gateway, "sharded", None)
-        if sharded is None:
-            return None
-        index = sharded.shards[0]
-    store = index.social_store
+        return None
+    store = getattr(index, "shards", [index])[0].social_store
 
     def probe(user: str, video: str) -> bool:
         descriptor = store.descriptors.get(video)
@@ -291,17 +288,7 @@ class RecommendService:
     # Epoch / applied_seq bookkeeping
     # ------------------------------------------------------------------
     def _current_epoch_key(self):
-        epochs = getattr(self.gateway, "current_epochs", None)
-        if epochs is not None:
-            return tuple(epoch.epoch_id for epoch in epochs)
-        return self.gateway.current_epoch.epoch_id
-
-    @staticmethod
-    def _result_epoch_key(result):
-        epoch_ids = getattr(result, "epoch_ids", None)
-        if epoch_ids is not None:
-            return tuple(epoch_ids)
-        return result.epoch_id
+        return self.gateway.epoch_key
 
     def _record_epoch_seq(self) -> None:
         key = self._current_epoch_key()
@@ -495,7 +482,7 @@ class RecommendService:
         if not self._has_video(video_id):
             raise KeyError(f"unknown video {video_id!r}")
         result = self.gateway.recommend(video_id, top_k, deadline=deadline)
-        epoch_key = self._result_epoch_key(result)
+        epoch_key = result.epoch_key
         body = recommendation_body(
             video_id,
             self.algorithm,

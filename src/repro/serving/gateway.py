@@ -23,6 +23,10 @@ and gives every query an immutable epoch view while mutations stream in:
   fault classes are retried with seeded jittered exponential backoff
   before they count as breaker failures.
 
+The mutation facade, publish control and admitted request path live in
+:class:`GatewayCore`, which :class:`ServingGateway` and the sharded
+:class:`~repro.sharding.gateway.ShardedGateway` both extend.
+
 Everything is instrumented into the process-wide
 :func:`repro.obs.get_metrics` registry under ``repro_serving_*`` names
 (see DESIGN §11 for the full list).
@@ -54,6 +58,7 @@ from repro.testing.faults import (
 
 __all__ = [
     "GatewayConfig",
+    "GatewayCore",
     "ServingGateway",
     "SERVE_SOCIAL_POINT",
     "SERVE_PUBLISH_POINT",
@@ -149,7 +154,7 @@ class GatewayConfig:
 class _QueryMemo:
     """Bounded LRU memo of fully-served query results, epoch-keyed.
 
-    Keys are ``(epoch_id, query_id, top_k, omega_served, deadline_class)``;
+    Keys are ``(epoch_key, query_id, top_k, deadline_class)``;
     values are finished :class:`Recommendations`.  Only *clean* results
     belong here — the gateway never inserts partial or degraded rankings,
     and :meth:`invalidate` drops everything at each epoch publication, so
@@ -215,7 +220,7 @@ class _QueryMemo:
 class _AdmissionGate:
     """Condition-variable admission control: bounded concurrency + queue.
 
-    Factored out of the gateway so the sharded gateway reuses one global
+    Owned by :class:`GatewayCore`, so the sharded gateway has one global
     gate over its whole scatter (admission is per *request*, not per
     shard).  Beyond *max_concurrency* in-flight requests, up to
     *queue_depth* wait (no longer than *queue_timeout* or their own
@@ -344,67 +349,51 @@ class _AdmissionGate:
                 self._cond.notify()
 
 
-class ServingGateway:
-    """Thread-safe serving facade over a live community index.
+class GatewayCore:
+    """The write and request path the single and sharded gateways share.
 
-    Parameters
-    ----------
-    index:
-        The write master (a :class:`~repro.core.pipeline.CommunityIndex`
-        or live subclass).  The gateway owns its mutation path — apply
-        writes through the gateway, never directly, while serving.
-    omega / social_mode / content_measure / engine:
-        Recommender configuration of the served rankings (defaults follow
-        the index config, ``sar-h`` social mode).
-    config:
-        The :class:`GatewayConfig` serving knobs.
-    faults:
-        Optional :class:`~repro.testing.faults.FaultPlan` threaded into
-        the registered serving points (chaos tests arm failures here).
-    breaker_clock:
-        Clock of the circuit breaker only (injectable for deterministic
-        state-machine tests); deadlines and admission always use
-        ``time.monotonic`` because the scan's chunked cutoff does.
-    seed:
-        Seed of the retry-jitter RNG.
+    :class:`ServingGateway` (one index, one epoch) and
+    :class:`~repro.sharding.gateway.ShardedGateway` (S shards, one epoch
+    vector) are siblings under this base.  It owns:
+
+    * the **mutation facade** — ``ingest_video`` / ``retire_video`` /
+      ``apply_comments`` / ``remove_comments`` / ``advance_watermark``,
+      serialized under one writer lock over ``self._master`` (a
+      :class:`~repro.core.pipeline.LiveCommunityIndex` or a
+      :class:`~repro.sharding.shard.ShardedIndex`, which take the same
+      five calls);
+    * **publish control** — one publication per mutation or per
+      :meth:`mutations` block, deferred under the defense layer's
+      :class:`~repro.defense.backpressure.PublishGovernor` and flushed
+      by a one-shot timer; every path ends in the subclass's
+      ``_publish_now()``;
+    * the **request path** — deadline resolution, the hot-priority peek
+      and singleflight coalescing in :meth:`recommend`, then admit → pin
+      → answer → unpin → release in :meth:`_admitted_recommend`, with
+      the epoch-keyed query memo.
+
+    A subclass supplies ``_omega``, ``epoch_key`` (the current epoch
+    identity), ``_key_of(pinned)``, ``_pin`` / ``_unpin`` (one epoch or
+    the epoch vector), ``_answer`` (memo plus scan, or memo plus
+    scatter/merge), ``_stamp`` (the attributes a served result carries,
+    ``epoch_key`` among them) and ``_follower_copy``.  Per-request
+    metrics are named ``<METRIC_PREFIX>_*``.
     """
 
-    def __init__(
-        self,
-        index,
-        omega: float | None = None,
-        social_mode: str = "sar-h",
-        content_measure: str = "kj",
-        engine: str | None = None,
-        config: GatewayConfig | None = None,
-        faults=None,
-        breaker_clock=time.monotonic,
-        seed: int = 0,
-    ) -> None:
-        self._master = index
-        self._omega = index.config.omega if omega is None else float(omega)
-        self._social_mode = social_mode
-        self._content_measure = content_measure
-        self._engine = engine
+    #: Prefix of the per-request metric names (``_queries_total``,
+    #: ``_latency_seconds``, ``_memo_hit_total``, ...).
+    METRIC_PREFIX = "repro_serving"
+
+    def __init__(self, master, config: GatewayConfig | None) -> None:
+        self._master = master
         self.config = config or GatewayConfig()
-        # fire() logs every hit into the plan; skip it entirely when no
-        # plan was supplied so the shared NO_FAULTS log can't grow
-        # unbounded under production query traffic.
-        self._fire_faults = faults is not None
-        self._faults = faults if faults is not None else NO_FAULTS
-        self._write_lock = threading.RLock()
-        self._epochs = EpochManager()
-        self._breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_failure_threshold,
-            cooldown=self.config.breaker_cooldown,
-            half_open_probes=self.config.breaker_probes,
-            half_open_successes=self.config.breaker_successes,
-            clock=breaker_clock,
-            on_transition=self._on_breaker_transition,
-        )
-        self._rng = random.Random(seed)
-        self._rng_lock = threading.Lock()
         self._defense = self.config.defense or DefenseConfig()
+        self._write_lock = threading.RLock()
+        # Batched-mutation bookkeeping: inside a mutations() block the
+        # per-mutation publish is deferred to the block's exit.  Both
+        # fields are only touched under the writer lock.
+        self._mutation_depth = 0
+        self._publish_pending = False
         self._gate = _AdmissionGate(
             self.config.max_concurrency,
             self.config.queue_depth,
@@ -423,78 +412,9 @@ class ServingGateway:
         )
         self._publish_timer: threading.Timer | None = None
         self._deferred_publish = False
-        # Batched-mutation bookkeeping: inside a mutations() block the
-        # per-mutation publish is deferred to the block's exit.  Both
-        # fields are only touched under the writer lock.
-        self._mutation_depth = 0
-        self._publish_pending = False
-        # The initial epoch is published fault-free: a plan arming the
-        # publish point targets *mutations*, not construction.
-        self._publish(fire=False)
-        if self._governor is not None:
-            self._governor.published()
 
     # ------------------------------------------------------------------
-    # Epoch publication (writer side)
-    # ------------------------------------------------------------------
-    def _build_recommenders(self, epoch: CommunityEpoch) -> None:
-        if self._content_measure == "kj" and epoch.video_ids:
-            # Warm the bank's float32 scoring pack before the epoch is
-            # visible: "pack once per epoch" — every reader then shares
-            # the immutable pack instead of racing a lazy build.
-            epoch.signature_bank().fast_pack()
-        epoch.serving_recommenders = {
-            "full": epoch.recommender(
-                omega=self._omega,
-                social_mode=self._social_mode,
-                content_measure=self._content_measure,
-                engine=self._engine,
-            ),
-            "content": epoch.recommender(
-                omega=0.0,
-                social_mode=self._social_mode,
-                content_measure=self._content_measure,
-                engine=self._engine,
-            ),
-        }
-
-    def _publish(self, fire: bool = True) -> CommunityEpoch:
-        if fire and self._fire_faults:
-            self._faults.fire(SERVE_PUBLISH_POINT)
-        # The recommenders are attached in publish()'s prepare hook, i.e.
-        # before the epoch becomes visible — a reader must never pin an
-        # epoch that can't serve yet.
-        epoch = self._epochs.publish(self._master, prepare=self._build_recommenders)
-        metrics = get_metrics()
-        # Invalidate *after* the pointer swap: queries racing the publish
-        # either memoized against the previous epoch (dropped here) or pin
-        # the new epoch (whose results are valid to keep).
-        self._memo.invalidate(metrics)
-        metrics.set_gauge("repro_serving_epoch_id", epoch.epoch_id)
-        metrics.set_gauge("repro_serving_epochs_live", self._epochs.live_count)
-        metrics.set_gauge("repro_serving_epochs_published", self._epochs.published_total)
-        metrics.set_gauge("repro_serving_epoch_videos", len(epoch.video_ids))
-        return epoch
-
-    @property
-    def current_epoch(self) -> CommunityEpoch:
-        """The epoch new queries pin."""
-        epoch = self._epochs.current
-        assert epoch is not None  # published in __init__
-        return epoch
-
-    @property
-    def epochs(self) -> EpochManager:
-        """The epoch lifecycle manager (refcounts, retire accounting)."""
-        return self._epochs
-
-    @property
-    def breaker(self) -> CircuitBreaker:
-        """The social-path circuit breaker."""
-        return self._breaker
-
-    # ------------------------------------------------------------------
-    # Mutations (serialized; each publishes a fresh epoch)
+    # Publish control (writer side)
     # ------------------------------------------------------------------
     def _maybe_publish(self) -> None:
         """Publish now, or mark pending inside a :meth:`mutations` block.
@@ -519,7 +439,7 @@ class ServingGateway:
     def _publish_governed(self) -> None:
         """Publish now; folds any deferred publication into this one."""
         self._deferred_publish = False
-        self._publish()
+        self._publish_now()
         if self._governor is not None:
             self._governor.published()
 
@@ -568,21 +488,24 @@ class ServingGateway:
                     self._publish_pending = False
                     self._maybe_publish()
 
+    # ------------------------------------------------------------------
+    # Mutations (serialized; each publishes a fresh epoch)
+    # ------------------------------------------------------------------
     def ingest_video(self, clip_or_record, owner=None, users=()) -> str:
-        """Serialized :meth:`LiveCommunityIndex.ingest_video` + publish."""
+        """Serialized ``ingest_video`` on the master + publish."""
         with self._write_lock:
             video_id = self._master.ingest_video(clip_or_record, owner, users)
             self._maybe_publish()
             return video_id
 
     def retire_video(self, video_id: str) -> None:
-        """Serialized :meth:`LiveCommunityIndex.retire_video` + publish."""
+        """Serialized ``retire_video`` on the master + publish."""
         with self._write_lock:
             self._master.retire_video(video_id)
             self._maybe_publish()
 
     def apply_comments(self, comments, incremental: bool = False):
-        """Serialized :meth:`LiveCommunityIndex.apply_comments` + publish."""
+        """Serialized ``apply_comments`` on the master + publish."""
         with self._write_lock:
             stats = self._master.apply_comments(comments, incremental=incremental)
             self._maybe_publish()
@@ -603,13 +526,261 @@ class ServingGateway:
             return month
 
     # ------------------------------------------------------------------
-    # Admission control
+    # Queries (reader side)
     # ------------------------------------------------------------------
-    def _admit(self, deadline_at: float | None, metrics, hot: bool = False) -> None:
-        self._gate.admit(deadline_at, metrics, hot=hot)
+    def recommend(
+        self,
+        query_id: str,
+        top_k: int = 10,
+        deadline: float | None = None,
+        trace=None,
+    ) -> Recommendations:
+        """Top-K recommendations from an immutable epoch view.
 
-    def _release(self, metrics, service_seconds: float | None = None) -> None:
-        self._gate.release(metrics, service_seconds)
+        *deadline* is in **seconds from now** (defaults to the config's
+        ``default_deadline``); it bounds admission waiting *and* the
+        candidate scan.  The result is a
+        :class:`~repro.core.recommender.Recommendations` annotated with
+        ``epoch_key`` (the pinned view's :attr:`epoch_key`), the pinned
+        view itself and ``omega_served`` (0.0 when the breaker dropped
+        the social term).  Raises :class:`~repro.errors.OverloadedError`
+        when admission sheds the request; everything else degrades
+        instead of failing.
+        """
+        metrics = get_metrics()
+        if deadline is None:
+            deadline = self.config.default_deadline
+        deadline_at = None if deadline is None else time.monotonic() + float(deadline)
+        # Everything besides the epoch that determines the ranking.  The
+        # deadline *class* (not the absolute monotonic instant) keys it,
+        # so repeated queries with the same budget share a memo entry.
+        request = (query_id, int(top_k), "none" if deadline is None else f"{deadline:g}")
+        defense = self._defense
+        hot = False
+        flight_key = None
+        if defense.coalesce or defense.hot_priority:
+            # Advisory pre-admission peek at the *current* epoch (no
+            # pin): the serving path recomputes everything against the
+            # epoch it actually pins, so a racing publish only costs the
+            # heuristic, never correctness.
+            key = (self.epoch_key, *request)
+            hot = defense.hot_priority and self._memo.contains(key)
+            if defense.coalesce:
+                flight_key = key
+        if flight_key is None:
+            return self._admitted_recommend(request, deadline_at, trace, metrics, hot)
+        leader, flight = self._flights.begin(flight_key)
+        if leader:
+            metrics.inc("repro_defense_coalesce_leaders_total")
+            try:
+                result = self._admitted_recommend(
+                    request, deadline_at, trace, metrics, hot
+                )
+            except BaseException as error:
+                self._flights.finish(flight_key, flight, error=error)
+                raise
+            self._flights.finish(flight_key, flight, result=result)
+            return result
+        # Followers park *before* admission: the whole duplicate crowd
+        # consumes one queue slot (the leader's) and one scan.  A leader
+        # error (e.g. OverloadedError) propagates to the flock — one shed
+        # sheds the crowd.
+        budget = defense.coalesce_wait
+        if deadline_at is not None:
+            budget = min(budget, max(0.001, deadline_at - time.monotonic()))
+        outcome = self._flights.wait(flight, budget)
+        if outcome is TIMEOUT:
+            # Leader outlived this follower's budget: fall back to the
+            # full serving path (correctness never waits).
+            metrics.inc("repro_defense_coalesce_timeouts_total")
+            return self._admitted_recommend(request, deadline_at, trace, metrics, hot)
+        metrics.inc("repro_defense_coalesced_followers_total")
+        result = self._follower_copy(outcome)
+        result.coalesced = True
+        metrics.inc(f"{self.METRIC_PREFIX}_queries_total")
+        return result
+
+    def _admitted_recommend(
+        self, request, deadline_at, trace, metrics, hot=False
+    ) -> Recommendations:
+        """Admit → pin → answer → unpin → release (see :meth:`recommend`)."""
+        query_id, top_k, _ = request
+        prefix = self.METRIC_PREFIX
+        self._gate.admit(deadline_at, metrics, hot=hot)
+        admitted_at = time.monotonic()
+        try:
+            with metrics.time(f"{prefix}_latency_seconds"):
+                pinned = self._pin(metrics)
+                try:
+                    result = self._answer(
+                        pinned,
+                        (self._key_of(pinned), *request),
+                        query_id,
+                        top_k,
+                        deadline_at,
+                        trace,
+                        metrics,
+                    )
+                finally:
+                    self._unpin(pinned, metrics)
+                metrics.inc(f"{prefix}_queries_total")
+                if result.degraded:
+                    metrics.inc(f"{prefix}_degraded_total")
+                if result.partial:
+                    metrics.inc(f"{prefix}_deadline_miss_total")
+                return result
+        finally:
+            # The fold into the retry_after_ms EWMA deliberately includes
+            # memo hits — the hint models the *observed* service rate.
+            self._gate.release(metrics, time.monotonic() - admitted_at)
+
+    def _recall(self, key, pinned, metrics):
+        """The memoized answer for *key* stamped onto *pinned*, or ``None``.
+
+        A ``None`` key is a counted miss without a lookup.
+        """
+        cached = None if key is None else self._memo.get(key)
+        if cached is None:
+            metrics.inc(f"{self.METRIC_PREFIX}_memo_miss_total")
+            return None
+        metrics.inc(f"{self.METRIC_PREFIX}_memo_hit_total")
+        return self._stamp(cached.copy(), pinned, self._omega)
+
+    def _remember(self, key, result, metrics) -> None:
+        # Only clean full-scan rankings are memoized: a partial or
+        # degraded answer must never shadow the real one on the next
+        # identical query.
+        if not result.partial and not result.degraded:
+            self._memo.put(key, result.copy(), metrics)
+
+
+class ServingGateway(GatewayCore):
+    """Thread-safe serving facade over a live community index.
+
+    Parameters
+    ----------
+    index:
+        The write master (a :class:`~repro.core.pipeline.CommunityIndex`
+        or live subclass).  The gateway owns its mutation path — apply
+        writes through the gateway, never directly, while serving.
+    omega / social_mode / content_measure / engine:
+        Recommender configuration of the served rankings (defaults follow
+        the index config, ``sar-h`` social mode).
+    config:
+        The :class:`GatewayConfig` serving knobs.
+    faults:
+        Optional :class:`~repro.testing.faults.FaultPlan` threaded into
+        the registered serving points (chaos tests arm failures here).
+    breaker_clock:
+        Clock of the circuit breaker only (injectable for deterministic
+        state-machine tests); deadlines and admission always use
+        ``time.monotonic`` because the scan's chunked cutoff does.
+    seed:
+        Seed of the retry-jitter RNG.
+    """
+
+    def __init__(
+        self,
+        index,
+        omega: float | None = None,
+        social_mode: str = "sar-h",
+        content_measure: str = "kj",
+        engine: str | None = None,
+        config: GatewayConfig | None = None,
+        faults=None,
+        breaker_clock=time.monotonic,
+        seed: int = 0,
+    ) -> None:
+        super().__init__(index, config)
+        self._omega = index.config.omega if omega is None else float(omega)
+        self._social_mode = social_mode
+        self._content_measure = content_measure
+        self._engine = engine
+        # fire() logs every hit into the plan; skip it entirely when no
+        # plan was supplied so the shared NO_FAULTS log can't grow
+        # unbounded under production query traffic.
+        self._fire_faults = faults is not None
+        self._faults = faults if faults is not None else NO_FAULTS
+        self._epochs = EpochManager()
+        self._breaker = CircuitBreaker(
+            failure_threshold=self.config.breaker_failure_threshold,
+            cooldown=self.config.breaker_cooldown,
+            half_open_probes=self.config.breaker_probes,
+            half_open_successes=self.config.breaker_successes,
+            clock=breaker_clock,
+            on_transition=self._on_breaker_transition,
+        )
+        self._rng = random.Random(seed)
+        self._rng_lock = threading.Lock()
+        # The initial epoch is published fault-free: a plan arming the
+        # publish point targets *mutations*, not construction.
+        self._publish_now(fire=False)
+        if self._governor is not None:
+            self._governor.published()
+
+    # ------------------------------------------------------------------
+    # Epoch publication (writer side)
+    # ------------------------------------------------------------------
+    def _build_recommenders(self, epoch: CommunityEpoch) -> None:
+        if self._content_measure == "kj" and epoch.video_ids:
+            # Warm the bank's float32 scoring pack before the epoch is
+            # visible: "pack once per epoch" — every reader then shares
+            # the immutable pack instead of racing a lazy build.
+            epoch.signature_bank().fast_pack()
+        epoch.serving_recommenders = {
+            "full": epoch.recommender(
+                omega=self._omega,
+                social_mode=self._social_mode,
+                content_measure=self._content_measure,
+                engine=self._engine,
+            ),
+            "content": epoch.recommender(
+                omega=0.0,
+                social_mode=self._social_mode,
+                content_measure=self._content_measure,
+                engine=self._engine,
+            ),
+        }
+
+    def _publish_now(self, fire: bool = True) -> CommunityEpoch:
+        if fire and self._fire_faults:
+            self._faults.fire(SERVE_PUBLISH_POINT)
+        # The recommenders are attached in publish()'s prepare hook, i.e.
+        # before the epoch becomes visible — a reader must never pin an
+        # epoch that can't serve yet.
+        epoch = self._epochs.publish(self._master, prepare=self._build_recommenders)
+        metrics = get_metrics()
+        # Invalidate *after* the pointer swap: queries racing the publish
+        # either memoized against the previous epoch (dropped here) or pin
+        # the new epoch (whose results are valid to keep).
+        self._memo.invalidate(metrics)
+        metrics.set_gauge("repro_serving_epoch_id", epoch.epoch_id)
+        metrics.set_gauge("repro_serving_epochs_live", self._epochs.live_count)
+        metrics.set_gauge("repro_serving_epochs_published", self._epochs.published_total)
+        metrics.set_gauge("repro_serving_epoch_videos", len(epoch.video_ids))
+        return epoch
+
+    @property
+    def current_epoch(self) -> CommunityEpoch:
+        """The epoch new queries pin."""
+        epoch = self._epochs.current
+        assert epoch is not None  # published in __init__
+        return epoch
+
+    @property
+    def epoch_key(self) -> int:
+        """Id of the current epoch — the ``epoch_key`` results carry."""
+        return self.current_epoch.epoch_id
+
+    @property
+    def epochs(self) -> EpochManager:
+        """The epoch lifecycle manager (refcounts, retire accounting)."""
+        return self._epochs
+
+    @property
+    def breaker(self) -> CircuitBreaker:
+        """The social-path circuit breaker."""
+        return self._breaker
 
     # ------------------------------------------------------------------
     # Social path: breaker + retry/backoff
@@ -623,9 +794,12 @@ class ServingGateway:
         with self._rng_lock:
             return self._rng.random()
 
-    def _social_path(self, deadline_at: float | None, metrics) -> str | None:
-        """Attempt the social dependency; ``None`` on success, else the
-        degradation reason the ranking must carry."""
+    def _social_path(self, epoch, deadline_at: float | None, metrics) -> str | None:
+        """Attempt the social dependency of a query on *epoch*; ``None``
+        when the fused ranking may be served (or has no social term),
+        else the degradation reason the ranking must carry."""
+        if self._omega <= 0.0 or not epoch.social_store.available:
+            return None
         if not self._breaker.allow():
             metrics.inc("repro_serving_breaker_short_circuit_total")
             return (
@@ -659,171 +833,72 @@ class ServingGateway:
                 self._breaker.record_success()
                 return None
 
-    # ------------------------------------------------------------------
-    # Queries (reader side)
-    # ------------------------------------------------------------------
-    def recommend(
-        self,
-        query_id: str,
-        top_k: int = 10,
-        deadline: float | None = None,
-        trace=None,
+    def _score(
+        self, epoch, reason, query_id, top_k, deadline_at, trace, **guest
     ) -> Recommendations:
-        """Top-K recommendations from an immutable epoch view.
+        """Rank *query_id* on *epoch*, setting ``omega_served``.
 
-        *deadline* is in **seconds from now** (defaults to the config's
-        ``default_deadline``); it bounds admission waiting *and* the
-        candidate scan.  The result is a
-        :class:`~repro.core.recommender.Recommendations` annotated with
-        ``epoch_id`` / ``epoch`` (the pinned view, kept alive as long as
-        the caller holds the result) and ``omega_served`` (0.0 when the
-        breaker dropped the social term).  Raises
-        :class:`~repro.errors.OverloadedError` when admission sheds the
-        request; everything else degrades instead of failing.
+        A ``None`` *reason* (see :meth:`_social_path`) serves the fused
+        recommender; otherwise the content-only one, flagged ``degraded``
+        with *reason* appended.  *guest* is the sharded scatter's query
+        state, passed through to the recommender.
         """
-        metrics = get_metrics()
-        if deadline is None:
-            deadline = self.config.default_deadline
-        deadline_at = None if deadline is None else time.monotonic() + float(deadline)
-        defense = self._defense
-        hot = False
-        flight_key = None
-        if defense.coalesce or defense.hot_priority:
-            # Advisory pre-admission peek at the *current* epoch (no
-            # pin): the serving path recomputes everything against the
-            # epoch it actually pins, so a racing publish only costs the
-            # heuristic, never correctness.
-            epoch = self._epochs.current
-            deadline_class = "none" if deadline is None else f"{deadline:g}"
-            if defense.hot_priority:
-                hot = self._memo.contains(
-                    (epoch.epoch_id, query_id, int(top_k), self._omega, deadline_class)
-                ) or self._memo.contains(
-                    (epoch.epoch_id, query_id, int(top_k), 0.0, deadline_class)
-                )
-            if defense.coalesce:
-                flight_key = (
-                    epoch.epoch_id,
-                    query_id,
-                    int(top_k),
-                    deadline_class,
-                )
-        if flight_key is not None:
-            leader, flight = self._flights.begin(flight_key)
-            if not leader:
-                # Followers park *before* admission: the whole duplicate
-                # crowd consumes one queue slot (the leader's) and one
-                # scan.  A leader error (e.g. OverloadedError) propagates
-                # to the flock — one shed sheds the crowd.
-                budget = defense.coalesce_wait
-                if deadline_at is not None:
-                    budget = min(budget, max(0.001, deadline_at - time.monotonic()))
-                outcome = self._flights.wait(flight, budget)
-                if outcome is not TIMEOUT:
-                    metrics.inc("repro_defense_coalesced_followers_total")
-                    result = outcome.copy()
-                    result.epoch_id = outcome.epoch_id
-                    result.epoch = outcome.epoch
-                    result.omega_served = outcome.omega_served
-                    result.coalesced = True
-                    metrics.inc("repro_serving_queries_total")
-                    return result
-                # Leader outlived this follower's budget: fall back to
-                # the full serving path (correctness never waits).
-                metrics.inc("repro_defense_coalesce_timeouts_total")
-                return self._serve(query_id, top_k, deadline, deadline_at, trace, metrics, hot)
-            metrics.inc("repro_defense_coalesce_leaders_total")
-            try:
-                result = self._serve(
-                    query_id, top_k, deadline, deadline_at, trace, metrics, hot
-                )
-            except BaseException as error:
-                self._flights.finish(flight_key, flight, error=error)
-                raise
-            self._flights.finish(flight_key, flight, result=result)
+        recommender: FusionRecommender = epoch.serving_recommenders[
+            "full" if reason is None else "content"
+        ]
+        result = recommender.recommend(
+            query_id, top_k, trace=trace, deadline=deadline_at, **guest
+        )
+        if reason is None:
+            result.omega_served = self._omega
             return result
-        return self._serve(query_id, top_k, deadline, deadline_at, trace, metrics, hot)
+        result = Recommendations(
+            result,
+            degraded=True,
+            partial=result.partial,
+            reasons=(*result.reasons, reason),
+            scored=result.scored,
+            total=result.total,
+            scores=getattr(result, "scores", None),
+        )
+        result.omega_served = 0.0
+        return result
 
-    def _serve(
-        self,
-        query_id: str,
-        top_k: int,
-        deadline: float | None,
-        deadline_at: float | None,
-        trace,
-        metrics,
-        hot: bool = False,
+    # ------------------------------------------------------------------
+    # Request-path hooks (see GatewayCore)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _key_of(epoch: CommunityEpoch) -> int:
+        return epoch.epoch_id
+
+    def _pin(self, metrics) -> CommunityEpoch:
+        epoch = self._epochs.pin()
+        metrics.set_gauge("repro_serving_epoch_age_seconds", self._epochs.current_age())
+        return epoch
+
+    def _unpin(self, epoch: CommunityEpoch, metrics) -> None:
+        self._epochs.unpin(epoch)
+        metrics.set_gauge("repro_serving_epochs_live", self._epochs.live_count)
+
+    def _answer(
+        self, epoch, key, query_id, top_k, deadline_at, trace, metrics
     ) -> Recommendations:
-        """The admitted serving path (see :meth:`recommend`)."""
-        self._admit(deadline_at, metrics, hot=hot)
-        admitted_at = time.monotonic()
-        try:
-            with metrics.time("repro_serving_latency_seconds"):
-                epoch = self._epochs.pin()
-                try:
-                    metrics.set_gauge(
-                        "repro_serving_epoch_age_seconds", self._epochs.current_age()
-                    )
-                    reason = None
-                    if self._omega > 0.0 and epoch.social_store.available:
-                        reason = self._social_path(deadline_at, metrics)
-                    which = "content" if reason is not None else "full"
-                    omega_served = 0.0 if reason is not None else self._omega
-                    # Memo key: everything that determines the ranking on a
-                    # fixed epoch.  The deadline *class* (not the absolute
-                    # monotonic instant) keys it, so repeated queries with
-                    # the same budget share an entry.
-                    memo_key = (
-                        epoch.epoch_id,
-                        query_id,
-                        int(top_k),
-                        omega_served,
-                        "none" if deadline is None else f"{deadline:g}",
-                    )
-                    cached = self._memo.get(memo_key)
-                    if cached is not None:
-                        metrics.inc("repro_serving_memo_hit_total")
-                        result = cached.copy()
-                        result.epoch_id = epoch.epoch_id
-                        result.epoch = epoch
-                        result.omega_served = omega_served
-                        metrics.inc("repro_serving_queries_total")
-                        return result
-                    metrics.inc("repro_serving_memo_miss_total")
-                    recommender: FusionRecommender = epoch.serving_recommenders[which]
-                    result = recommender.recommend(
-                        query_id, top_k, trace=trace, deadline=deadline_at
-                    )
-                    if reason is not None:
-                        result = Recommendations(
-                            result,
-                            degraded=True,
-                            partial=result.partial,
-                            reasons=(*result.reasons, reason),
-                            scored=result.scored,
-                            total=result.total,
-                            scores=getattr(result, "scores", None),
-                        )
-                    elif not result.partial and not result.degraded:
-                        # Only clean full-scan rankings are memoized: a
-                        # partial or degraded answer must never shadow the
-                        # real one on the next identical query.
-                        self._memo.put(memo_key, result.copy(), metrics)
-                    result.epoch_id = epoch.epoch_id
-                    result.epoch = epoch
-                    result.omega_served = omega_served
-                    metrics.inc("repro_serving_queries_total")
-                    if result.degraded:
-                        metrics.inc("repro_serving_degraded_total")
-                    if result.partial:
-                        metrics.inc("repro_serving_deadline_miss_total")
-                    return result
-                finally:
-                    self._epochs.unpin(epoch)
-                    metrics.set_gauge(
-                        "repro_serving_epochs_live", self._epochs.live_count
-                    )
-        finally:
-            # The fold into the retry_after_ms EWMA deliberately includes
-            # memo hits — the hint models the *observed* service rate.
-            self._release(metrics, time.monotonic() - admitted_at)
+        # The breaker is consulted before the memo: a degraded query
+        # is served the content-only ranking, never a memoized fused one.
+        reason = self._social_path(epoch, deadline_at, metrics)
+        cached = self._recall(key if reason is None else None, epoch, metrics)
+        if cached is not None:
+            return cached
+        result = self._score(epoch, reason, query_id, top_k, deadline_at, trace)
+        self._remember(key, result, metrics)
+        return self._stamp(result, epoch, result.omega_served)
+
+    @staticmethod
+    def _stamp(result, epoch: CommunityEpoch, omega_served: float):
+        result.epoch_key = result.epoch_id = epoch.epoch_id
+        result.epoch = epoch
+        result.omega_served = omega_served
+        return result
+
+    def _follower_copy(self, outcome) -> Recommendations:
+        return self._stamp(outcome.copy(), outcome.epoch, outcome.omega_served)

@@ -48,18 +48,14 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from contextlib import contextmanager
 
 import numpy as np
 
 from repro.core.recommender import Recommendations
-from repro.defense.backpressure import PublishGovernor
-from repro.defense.coalesce import TIMEOUT, SingleFlight
-from repro.defense.config import DefenseConfig
 from repro.measures.content import _segment_integrals
 from repro.obs import get_metrics
 from repro.serving.epoch import CommunityEpoch
-from repro.serving.gateway import GatewayConfig, ServingGateway, _AdmissionGate, _QueryMemo
+from repro.serving.gateway import GatewayConfig, GatewayCore, ServingGateway
 from repro.sharding.shard import ShardedIndex
 
 __all__ = ["ShardServingGateway", "ShardedGateway"]
@@ -78,8 +74,8 @@ class ShardServingGateway(ServingGateway):
         self.shard_id = int(shard_id)
         super().__init__(shard, **kwargs)
 
-    def _publish(self, fire: bool = True) -> CommunityEpoch:
-        epoch = super()._publish(fire=fire)
+    def _publish_now(self, fire: bool = True) -> CommunityEpoch:
+        epoch = super()._publish_now(fire=fire)
         metrics = get_metrics()
         label = str(self.shard_id)
         metrics.set_gauge("repro_shard_epoch_id", epoch.epoch_id, shard=label)
@@ -95,66 +91,39 @@ class ShardServingGateway(ServingGateway):
         top_k: int,
         deadline_at: float | None,
         metrics,
-        query_series=None,
-        query_vector=None,
-        query_pack=None,
-        initial_threshold=None,
         trace=None,
+        **guest,
     ) -> Recommendations:
         """This shard's top-K slice of a scattered query.
 
         *epoch* is the coordinator-pinned epoch from the scatter's
         vector (never re-pinned here); *deadline_at* is the request's
-        absolute ``time.monotonic`` deadline shared by every shard.  The
-        guest *query_series* / *query_vector* come from the owner
-        shard's epoch; on the owner itself the indexed fast path wins,
-        so passing them everywhere is uniform and harmless.
-        *query_pack* is the query packed once against the pinned layout
-        (shared by every shard of the scatter); *initial_threshold*
-        seeds the pruned scan with the coordinator's running merged
-        k-th best score — this shard's slice may come back trimmed to
-        the candidates that could still enter the merged top-K.
+        absolute ``time.monotonic`` deadline shared by every shard.
+        *guest* is the recommender's guest query state: the
+        ``query_series`` / ``query_vector`` come from the owner shard's
+        epoch (on the owner itself the indexed fast path wins, so
+        passing them everywhere is uniform and harmless);
+        ``query_pack`` is the query packed once against the pinned
+        layout (shared by every shard of the scatter); and
+        ``initial_threshold`` seeds the pruned scan with the
+        coordinator's running merged k-th best score — this shard's
+        slice may come back trimmed to the candidates that could still
+        enter the merged top-K.
         """
         candidates = len(epoch.series) - (1 if query_id in epoch.series else 0)
         if candidates <= 0:
             result = Recommendations(scores=[])
-        else:
-            reason = None
-            if self._omega > 0.0 and epoch.social_store.available:
-                reason = self._social_path(deadline_at, metrics)
-            which = "content" if reason is not None else "full"
-            omega_served = 0.0 if reason is not None else self._omega
-            recommender = epoch.serving_recommenders[which]
-            result = recommender.recommend(
-                query_id,
-                top_k,
-                trace=trace,
-                deadline=deadline_at,
-                query_series=query_series,
-                query_vector=query_vector,
-                query_pack=query_pack,
-                initial_threshold=initial_threshold,
-            )
-            if reason is not None:
-                result = Recommendations(
-                    result,
-                    degraded=True,
-                    partial=result.partial,
-                    reasons=(*result.reasons, reason),
-                    scored=result.scored,
-                    total=result.total,
-                    scores=getattr(result, "scores", None),
-                )
-            result.omega_served = omega_served
-        result.epoch_id = epoch.epoch_id
-        result.epoch = epoch
-        result.shard_id = self.shard_id
-        if not hasattr(result, "omega_served"):
             result.omega_served = self._omega
-        return result
+        else:
+            reason = self._social_path(epoch, deadline_at, metrics)
+            result = self._score(
+                epoch, reason, query_id, top_k, deadline_at, trace, **guest
+            )
+        result.shard_id = self.shard_id
+        return self._stamp(result, epoch, result.omega_served)
 
 
-class ShardedGateway:
+class ShardedGateway(GatewayCore):
     """Scatter-gather serving facade over a :class:`ShardedIndex`.
 
     Parameters mirror :class:`~repro.serving.gateway.ServingGateway`;
@@ -162,13 +131,16 @@ class ShardedGateway:
     by every shard or a per-shard list (``None`` entries allowed), which
     is how the chaos suite aims a fault burst at a single shard.
 
-    Mutations are serialized under one writer lock, fan out through the
-    :class:`ShardedIndex` (owner routing + social replication), re-pin
-    the global bank layout, republish **every** shard's epoch and swap
-    the epoch vector — one cross-shard-consistent view per mutation (or
-    per :meth:`mutations` block).  Queries admit through one global
-    gate, pin the vector, scatter, and merge deterministically.
+    Mutations go through the :class:`~repro.serving.gateway.GatewayCore`
+    facade into the :class:`ShardedIndex` (owner routing + social
+    replication); each publication re-pins the global bank layout,
+    republishes **every** shard's epoch and swaps the epoch vector — one
+    cross-shard-consistent view per mutation (or per :meth:`mutations`
+    block).  Queries admit through one global gate, pin the vector,
+    scatter, and merge deterministically.
     """
+
+    METRIC_PREFIX = "repro_sharded"
 
     def __init__(
         self,
@@ -182,8 +154,7 @@ class ShardedGateway:
         breaker_clock=time.monotonic,
         seed: int = 0,
     ) -> None:
-        self.sharded = sharded
-        self.config = config or GatewayConfig()
+        super().__init__(sharded, config)
         self._social_mode = social_mode
         plans = self._per_shard_plans(faults, sharded.num_shards)
         # Pin before the per-shard gateways exist: their constructors
@@ -205,29 +176,7 @@ class ShardedGateway:
             for shard in sharded.shards
         ]
         self._omega = self._gateways[0]._omega
-        self._write_lock = threading.RLock()
-        self._mutation_depth = 0
-        self._publish_pending = False
         self._vector_lock = threading.Lock()
-        self._defense = self.config.defense or DefenseConfig()
-        self._gate = _AdmissionGate(
-            self.config.max_concurrency,
-            self.config.queue_depth,
-            self.config.queue_timeout,
-            hot_priority=self._defense.hot_priority,
-        )
-        self._memo = _QueryMemo(self.config.memo_capacity)
-        self._flights = SingleFlight() if self._defense.coalesce else None
-        self._governor = (
-            PublishGovernor(
-                self._defense.min_publish_interval,
-                self._defense.max_deferred_mutations,
-            )
-            if self._defense.min_publish_interval > 0
-            else None
-        )
-        self._publish_timer: threading.Timer | None = None
-        self._deferred_publish = False
         self._pool = ThreadPoolExecutor(
             max_workers=sharded.num_shards, thread_name_prefix="shard-scatter"
         )
@@ -273,19 +222,24 @@ class ShardedGateway:
         with self._vector_lock:
             return self._epoch_vector
 
+    @property
+    def epoch_key(self) -> tuple[int, ...]:
+        """Epoch ids of the current vector — the ``epoch_key`` results carry."""
+        return self._key_of(self.current_epochs)
+
     def close(self) -> None:
         """Shut the scatter thread pool down (idempotent)."""
         self._pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------
-    # Mutations (serialized; each swaps a fresh epoch vector)
+    # Publication (swaps a fresh epoch vector)
     # ------------------------------------------------------------------
-    def _republish(self) -> None:
-        self.sharded.pin_layout()
+    def _publish_now(self) -> None:
+        self._master.pin_layout()
         fresh = []
         for gw in self._gateways:
             with gw._write_lock:
-                fresh.append(gw._publish())
+                fresh.append(gw._publish_now())
         for gw, epoch in zip(self._gateways, fresh):
             pinned = gw.epochs.pin_specific(epoch)
             assert pinned  # just published, still current
@@ -298,95 +252,14 @@ class ShardedGateway:
         self._memo.invalidate(metrics)
         metrics.inc("repro_sharded_publish_total")
 
-    def _maybe_republish(self) -> None:
-        """Republish now, defer into a block, or defer under the governor
-        (same backpressure model as :meth:`ServingGateway._maybe_publish`
-        — a storm of mutations builds a bounded number of epoch vectors)."""
-        if self._mutation_depth:
-            self._publish_pending = True
-            return
-        if self._governor is not None and self._governor.should_defer():
-            self._deferred_publish = True
-            get_metrics().inc("repro_defense_deferred_publishes_total")
-            self._arm_publish_timer()
-            return
-        self._republish_governed()
-
-    def _republish_governed(self) -> None:
-        self._deferred_publish = False
-        self._republish()
-        if self._governor is not None:
-            self._governor.published()
-
-    def _arm_publish_timer(self) -> None:
-        if self._publish_timer is not None:
-            return
-        delay = max(self._governor.delay_remaining(), 1e-4)
-        timer = threading.Timer(delay, self._flush_deferred_publish)
-        timer.daemon = True
-        self._publish_timer = timer
-        timer.start()
-
-    def _flush_deferred_publish(self) -> None:
-        with self._write_lock:
-            self._publish_timer = None
-            if not self._deferred_publish or self._mutation_depth:
-                return
-            if self._governor.delay_remaining() > 0:
-                self._arm_publish_timer()
-                return
-            self._republish_governed()
-
-    @contextmanager
-    def mutations(self):
-        """Batch mutations into **one** vector swap (see
-        :meth:`ServingGateway.mutations`)."""
-        with self._write_lock:
-            self._mutation_depth += 1
-            try:
-                yield self
-            finally:
-                self._mutation_depth -= 1
-                if self._mutation_depth == 0 and self._publish_pending:
-                    self._publish_pending = False
-                    self._maybe_republish()
-
-    def ingest_video(self, clip_or_record, owner=None, users=()) -> str:
-        with self._write_lock:
-            video_id = self.sharded.ingest_video(
-                clip_or_record, owner=owner, users=users
-            )
-            self._maybe_republish()
-            return video_id
-
-    def retire_video(self, video_id: str) -> None:
-        with self._write_lock:
-            self.sharded.retire_video(video_id)
-            self._maybe_republish()
-
-    def apply_comments(self, comments, incremental: bool = False):
-        with self._write_lock:
-            stats = self.sharded.apply_comments(comments, incremental=incremental)
-            self._maybe_republish()
-            return stats
-
-    def remove_comments(self, comments) -> int:
-        """Serialized spam revocation across every shard + republish."""
-        with self._write_lock:
-            removed = self.sharded.remove_comments(comments)
-            self._maybe_republish()
-            return removed
-
-    def advance_watermark(self, month: int) -> int:
-        with self._write_lock:
-            month = self.sharded.advance_watermark(month)
-            self._maybe_republish()
-            return month
-
     # ------------------------------------------------------------------
-    # Queries (scatter + gather)
+    # Request-path hooks (see GatewayCore): pin the vector, scatter, merge
     # ------------------------------------------------------------------
-    def _pin_vector(self) -> tuple[CommunityEpoch, ...]:
+    @staticmethod
+    def _key_of(vector) -> tuple[int, ...]:
+        return tuple(epoch.epoch_id for epoch in vector)
+
+    def _pin(self, metrics) -> tuple[CommunityEpoch, ...]:
         """Pin every epoch of one consistent vector (retrying swaps)."""
         while True:
             with self._vector_lock:
@@ -403,9 +276,50 @@ class ShardedGateway:
             # A republish swapped the vector mid-pin; re-read and retry.
             time.sleep(0.0005)
 
-    def _unpin_vector(self, vector: tuple[CommunityEpoch, ...]) -> None:
+    def _unpin(self, vector: tuple[CommunityEpoch, ...], metrics) -> None:
         for gw, epoch in zip(self._gateways, vector):
             gw.epochs.unpin(epoch)
+
+    def _stamp(self, result, vector, omega_served: float, shard_results=None):
+        result.epoch_key = result.epoch_ids = self._key_of(vector)
+        result.epochs = vector
+        result.omega_served = omega_served
+        result.shard_results = shard_results
+        return result
+
+    def _follower_copy(self, outcome) -> Recommendations:
+        return self._stamp(outcome.copy(), outcome.epochs, outcome.omega_served)
+
+    def _answer(
+        self, vector, key, query_id, top_k, deadline_at, trace, metrics
+    ) -> Recommendations:
+        """The merged top-K over every shard's slice of the candidates.
+
+        Bit-identical to the single-index oracle when every shard
+        answers cleanly.  A shard that misses the shared deadline marks
+        the result ``partial``; a shard that fails marks it
+        ``degraded``; both attach a per-shard reason and the remaining
+        shards' slices still merge.  The per-shard raw results ride
+        along as ``result.shard_results`` (``None`` for a shard that
+        produced nothing, and for a memo hit), which is what the chaos
+        suite replays.
+        """
+        cached = self._recall(key, vector, metrics)
+        if cached is not None:
+            return cached
+        result, shard_results = self._scatter(
+            vector, query_id, top_k, deadline_at, trace, metrics
+        )
+        self._remember(key, result, metrics)
+        omega_served = (
+            self._omega
+            if not result.degraded
+            else min(
+                (r.omega_served for r in shard_results if r is not None),
+                default=0.0,
+            )
+        )
+        return self._stamp(result, vector, omega_served, tuple(shard_results))
 
     def _query_state(self, query_id: str, vector):
         """``(owner, series, sar_vector)`` of *query_id* in *vector*."""
@@ -433,116 +347,9 @@ class ShardedGateway:
                 vector_row = (matrix[row], int(sizes[row]))
         return owner, series, vector_row
 
-    def recommend(
-        self,
-        query_id: str,
-        top_k: int = 10,
-        deadline: float | None = None,
-        trace=None,
-    ) -> Recommendations:
-        """The merged top-K over every shard's slice of the candidates.
-
-        Bit-identical to the single-index oracle when every shard
-        answers cleanly.  A shard that misses the shared deadline marks
-        the result ``partial``; a shard that fails marks it
-        ``degraded``; both attach a per-shard reason and the remaining
-        shards' slices still merge.  The per-shard raw results ride
-        along as ``result.shard_results`` (``None`` for a shard that
-        produced nothing), which is what the chaos suite replays.
-        """
-        metrics = get_metrics()
-        if deadline is None:
-            deadline = self.config.default_deadline
-        deadline_at = None if deadline is None else time.monotonic() + float(deadline)
-        defense = self._defense
-        hot = False
-        flight_key = None
-        if defense.coalesce or defense.hot_priority:
-            # Advisory pre-admission peek at the current vector (no
-            # pin); see ServingGateway.recommend for the rationale.
-            with self._vector_lock:
-                vector = self._epoch_vector
-            epoch_ids = tuple(epoch.epoch_id for epoch in vector)
-            deadline_class = "none" if deadline is None else f"{deadline:g}"
-            if defense.hot_priority:
-                hot = self._memo.contains(
-                    (epoch_ids, query_id, int(top_k), deadline_class)
-                )
-            if defense.coalesce:
-                flight_key = (epoch_ids, query_id, int(top_k), deadline_class)
-        if flight_key is not None:
-            leader, flight = self._flights.begin(flight_key)
-            if not leader:
-                budget = defense.coalesce_wait
-                if deadline_at is not None:
-                    budget = min(budget, max(0.001, deadline_at - time.monotonic()))
-                outcome = self._flights.wait(flight, budget)
-                if outcome is not TIMEOUT:
-                    metrics.inc("repro_defense_coalesced_followers_total")
-                    result = outcome.copy()
-                    result.epoch_ids = outcome.epoch_ids
-                    result.epochs = outcome.epochs
-                    result.omega_served = outcome.omega_served
-                    result.shard_results = None
-                    result.coalesced = True
-                    metrics.inc("repro_sharded_queries_total")
-                    return result
-                metrics.inc("repro_defense_coalesce_timeouts_total")
-                return self._admitted_recommend(
-                    query_id, top_k, deadline, deadline_at, trace, metrics, hot
-                )
-            metrics.inc("repro_defense_coalesce_leaders_total")
-            try:
-                result = self._admitted_recommend(
-                    query_id, top_k, deadline, deadline_at, trace, metrics, hot
-                )
-            except BaseException as error:
-                self._flights.finish(flight_key, flight, error=error)
-                raise
-            self._flights.finish(flight_key, flight, result=result)
-            return result
-        return self._admitted_recommend(
-            query_id, top_k, deadline, deadline_at, trace, metrics, hot
-        )
-
-    def _admitted_recommend(
-        self, query_id, top_k, deadline, deadline_at, trace, metrics, hot=False
-    ) -> Recommendations:
-        self._gate.admit(deadline_at, metrics, hot=hot)
-        admitted_at = time.monotonic()
-        try:
-            with metrics.time("repro_sharded_latency_seconds"):
-                vector = self._pin_vector()
-                try:
-                    return self._scatter(
-                        vector, query_id, top_k, deadline, deadline_at, trace, metrics
-                    )
-                finally:
-                    self._unpin_vector(vector)
-        finally:
-            self._gate.release(metrics, time.monotonic() - admitted_at)
-
-    def _scatter(
-        self, vector, query_id, top_k, deadline, deadline_at, trace, metrics
-    ) -> Recommendations:
+    def _scatter(self, vector, query_id, top_k, deadline_at, trace, metrics):
+        """``(merged result, per-shard slices)`` of one scattered query."""
         owner, query_series, query_vector = self._query_state(query_id, vector)
-        memo_key = (
-            tuple(epoch.epoch_id for epoch in vector),
-            query_id,
-            int(top_k),
-            "none" if deadline is None else f"{deadline:g}",
-        )
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            metrics.inc("repro_sharded_memo_hit_total")
-            result = cached.copy()
-            result.epoch_ids = memo_key[0]
-            result.epochs = vector
-            result.omega_served = self._omega
-            result.shard_results = None
-            metrics.inc("repro_sharded_queries_total")
-            return result
-        metrics.inc("repro_sharded_memo_miss_total")
 
         def scatter_one(index: int, query_pack=None, initial_threshold=None):
             gw, epoch = self._gateways[index], vector[index]
@@ -647,25 +454,7 @@ class ShardedGateway:
         result = self._merge(
             vector, owner, shard_results, shard_reasons, missed, failed, top_k
         )
-        if not result.degraded and not result.partial:
-            self._memo.put(memo_key, result.copy(), metrics)
-        result.epoch_ids = memo_key[0]
-        result.epochs = vector
-        result.omega_served = (
-            self._omega
-            if not result.degraded
-            else min(
-                (r.omega_served for r in shard_results if r is not None),
-                default=0.0,
-            )
-        )
-        result.shard_results = tuple(shard_results)
-        metrics.inc("repro_sharded_queries_total")
-        if result.degraded:
-            metrics.inc("repro_sharded_degraded_total")
-        if result.partial:
-            metrics.inc("repro_sharded_deadline_miss_total")
-        return result
+        return result, shard_results
 
     def _merge(
         self, vector, owner, shard_results, shard_reasons, missed, failed, top_k

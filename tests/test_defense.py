@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -149,13 +150,14 @@ class TestSingleFlight:
 # Gateway coalescing (flash-crowd protection)
 # ----------------------------------------------------------------------
 def _wedge_serve(gateway, calls_to_wedge=1):
-    """Make the next *calls_to_wedge* ``_serve`` calls park on an event.
+    """Make the next *calls_to_wedge* ``_admitted_recommend`` calls park
+    on an event.
 
     Returns ``(entered, hold)``: *entered* fires when a wedged call is
     inside the serving path, *hold* releases it.
     """
     entered, hold = threading.Event(), threading.Event()
-    original = gateway._serve
+    original = gateway._admitted_recommend
     remaining = [calls_to_wedge]
     lock = threading.Lock()
 
@@ -169,7 +171,7 @@ def _wedge_serve(gateway, calls_to_wedge=1):
             hold.wait(10.0)
         return original(*args, **kwargs)
 
-    gateway._serve = wedged
+    gateway._admitted_recommend = wedged
     return entered, hold
 
 
@@ -245,14 +247,14 @@ class TestGatewayCoalescing:
             except OverloadedError as error:
                 outcomes["follow"] = error
 
-        original = gateway._serve
+        original = gateway._admitted_recommend
 
         def shedding(*args, **kwargs):
             entered.set()
             hold.wait(10.0)
             raise OverloadedError("shed", retry_after_ms=10.0)
 
-        gateway._serve = shedding
+        gateway._admitted_recommend = shedding
         leader = threading.Thread(target=lead)
         leader.start()
         assert entered.wait(5.0)
@@ -262,7 +264,7 @@ class TestGatewayCoalescing:
         hold.set()
         leader.join(5.0)
         follower.join(5.0)
-        gateway._serve = original
+        gateway._admitted_recommend = original
         # One shed leader shed the duplicate too — same typed error.
         assert isinstance(outcomes["lead"], OverloadedError)
         assert isinstance(outcomes["follow"], OverloadedError)
@@ -459,66 +461,116 @@ class TestPublishGovernor:
             PublishGovernor(**{"min_interval": 1.0, **kwargs})
 
 
+@pytest.fixture(scope="module")
+def sharded_live(workload, config):
+    """A 2-shard index over the test community (mutating tests self-revert)."""
+    from repro.sharding import ShardedIndex
+
+    return ShardedIndex.build(workload.dataset, config, 2)
+
+
 class TestGatewayPublishBackpressure:
+    @pytest.fixture(params=["single", "sharded"])
+    def served(self, request, live, query):
+        """Gateways of one kind plus what the tests read off them.
+
+        ``epochs`` / ``current`` are the publication ledger and the
+        epoch readers pin on *query*'s shard (the only one for the
+        single gateway); ``store`` is the master's social store the
+        mutations apply to; ``revert`` undoes a test's comments.
+        """
+        if request.param == "single":
+            make = lambda config: ServingGateway(live, config=config)
+            served = SimpleNamespace(
+                epochs=lambda gateway: gateway.epochs,
+                current=lambda gateway: gateway.current_epoch,
+                store=live.social_store,
+                revert=live.social_store.remove_comments,
+            )
+        else:
+            from repro.sharding import ShardedGateway
+
+            sharded = request.getfixturevalue("sharded_live")
+            owner = sharded.owner_of(query)
+            make = lambda config: ShardedGateway(sharded, config=config)
+
+            def revert(comments):
+                for shard in sharded.shards:
+                    shard.social_store.remove_comments(comments)
+
+            served = SimpleNamespace(
+                epochs=lambda gateway: gateway.gateways[owner].epochs,
+                current=lambda gateway: gateway.current_epochs[owner],
+                store=sharded.shards[owner].social_store,
+                revert=revert,
+            )
+        built = []
+
+        def gateway(config=None):
+            built.append(make(config))
+            return built[-1]
+
+        served.gateway = gateway
+        yield served
+        for built_gateway in built:
+            if hasattr(built_gateway, "close"):
+                built_gateway.close()
+
     def test_mutation_inside_interval_defers_visibility_not_application(
-        self, live, query
+        self, served, query
     ):
         registry = MetricsRegistry()
         with use_metrics(registry):
-            gateway = ServingGateway(
-                live,
-                config=GatewayConfig(
+            gateway = served.gateway(
+                GatewayConfig(
                     defense=DefenseConfig(
                         min_publish_interval=60.0, max_deferred_mutations=2
                     )
                 ),
             )
-            frozen = gateway.current_epoch
-            published = gateway.epochs.published_total
+            frozen = served.current(gateway)
+            published = served.epochs(gateway).published_total
             gateway.apply_comments([("u_governor", query)])
             # Applied to the master immediately...
-            assert "u_governor" in live.social_store.descriptors[query].users
+            assert "u_governor" in served.store.descriptors[query].users
             # ...but the publication deferred: readers still see the old epoch.
-            assert gateway.current_epoch is frozen
-            assert gateway.epochs.published_total == published
+            assert served.current(gateway) is frozen
+            assert served.epochs(gateway).published_total == published
             assert registry.value("repro_defense_deferred_publishes_total") == 1
             # The staleness bound: the second deferred-in-interval mutation
             # forces the accumulated batch through as one publication.
             gateway.apply_comments([("u_governor2", query)])
-            assert gateway.epochs.published_total == published + 1
-            current = gateway.current_epoch
+            assert served.epochs(gateway).published_total == published + 1
+            current = served.current(gateway)
             assert "u_governor" in current.descriptor(query).users
             assert "u_governor2" in current.descriptor(query).users
-        live.social_store.remove_comments(
-            [("u_governor", query), ("u_governor2", query)]
-        )
+        served.revert([("u_governor", query), ("u_governor2", query)])
 
-    def test_timer_flushes_deferred_publication(self, live, query):
-        gateway = ServingGateway(
-            live,
-            config=GatewayConfig(
+    def test_timer_flushes_deferred_publication(self, served, query):
+        gateway = served.gateway(
+            GatewayConfig(
                 defense=DefenseConfig(min_publish_interval=0.05)
             ),
         )
-        published = gateway.epochs.published_total
+        published = served.epochs(gateway).published_total
         gateway.apply_comments([("u_timer", query)])  # deferred
-        assert gateway.epochs.published_total == published
+        assert served.epochs(gateway).published_total == published
         deadline = time.monotonic() + 5.0
         while (
-            gateway.epochs.published_total == published
+            served.epochs(gateway).published_total == published
             and time.monotonic() < deadline
         ):
             time.sleep(0.01)
-        assert gateway.epochs.published_total == published + 1
-        assert "u_timer" in gateway.current_epoch.descriptor(query).users
-        live.social_store.remove_comments([("u_timer", query)])
+        assert served.epochs(gateway).published_total == published + 1
+        assert "u_timer" in served.current(gateway).descriptor(query).users
+        served.revert([("u_timer", query)])
 
-    def test_no_interval_publishes_per_mutation(self, live, query):
-        gateway = ServingGateway(live)  # knobs off
-        published = gateway.epochs.published_total
+    def test_no_interval_publishes_per_mutation(self, served, query):
+        gateway = served.gateway()  # knobs off
+        published = served.epochs(gateway).published_total
         gateway.apply_comments([("u_plain", query)])
-        assert gateway.epochs.published_total == published + 1
-        live.social_store.remove_comments([("u_plain", query)])
+        assert served.epochs(gateway).published_total == published + 1
+        served.revert([("u_plain", query)])
 
 
 # ----------------------------------------------------------------------

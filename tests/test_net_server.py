@@ -324,6 +324,7 @@ class _StubResult(list):
         defaults = {
             "scores": [1.0] * len(ids),
             "epoch_id": 0,
+            "epoch_key": 0,
             "omega_served": 0.7,
             "degraded": False,
             "partial": False,
@@ -349,6 +350,7 @@ class _StubGateway:
             video_ids = ["v1", "v2"]
 
         self.current_epoch = _Epoch()
+        self.epoch_key = 0
 
     def recommend(self, video_id, top_k, deadline=None):
         if self.error is not None:
