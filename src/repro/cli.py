@@ -11,11 +11,12 @@ registered so offline legacy installs stay trivial).  Subcommands:
 * ``ingest``    — apply live updates (add/retire videos, comment batches)
   to a saved index and save the result; ``--wal`` journals every mutation
   to a write-ahead log first, so a crash mid-session loses nothing.
-  Pointed at a sharded deployment directory (or with ``--shards``),
-  mutations route through the shard facade and log to the per-shard WALs;
+  Pointed at a sharded deployment directory, mutations route through the
+  shard facade and log to the per-shard WALs;
 * ``recover``   — rebuild an index from a snapshot plus its WAL and save
-  the repaired checkpoint; ``--shards`` recovers a whole sharded
-  deployment (every shard replays its own WAL, in parallel);
+  the repaired checkpoint (``recover SNAPSHOT WAL OUTPUT``), or a whole
+  sharded deployment (``recover DEPLOYMENT OUTPUT``: every shard replays
+  its own WAL, in parallel);
 * ``explain``   — the evidence behind one (query, candidate) pair;
 * ``evaluate``  — AR/AC/MAP of a chosen method over the Table-2 workload;
 * ``stats``     — run sample queries and print the metrics snapshot
@@ -40,8 +41,11 @@ registered so offline legacy installs stay trivial).  Subcommands:
   RPS + hit/miss latency percentiles; ``--out`` records one JSON line per
   request for post-hoc (oracle) analysis.
 
-``stats --url`` scrapes a *running* server's ``/stats`` endpoint instead
-of rebuilding an index locally.
+``ingest``, ``recover``, ``stats`` and ``serve`` tell a sharded deployment
+from a snapshot file by its manifest
+(:func:`~repro.sharding.persist.open_master`) and run one body over
+either.  ``stats --url`` scrapes a *running* server's ``/stats`` endpoint
+instead of rebuilding an index locally.
 
 ``recommend --deadline-ms`` bounds one query's candidate scan; an expired
 deadline exits 0 with the best-effort partial ranking and a stderr note.
@@ -172,8 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = commands.add_parser(
         "ingest", help="apply live updates (add/retire/comments) to a saved index"
     )
-    ingest.add_argument("index", help="index file from `index`")
-    ingest.add_argument("output", help="output path for the updated index")
+    ingest.add_argument("index", help="index file or sharded deployment")
+    ingest.add_argument(
+        "output", help="output path for the updated index or deployment"
+    )
     ingest.add_argument(
         "--add",
         default="",
@@ -203,36 +209,25 @@ def build_parser() -> argparse.ArgumentParser:
         "it (crash mid-ingest -> `recover` rebuilds the exact state); "
         "sharded deployments log to their per-shard WALs instead",
     )
-    ingest.add_argument(
-        "--shards",
-        action="store_true",
-        help="treat INDEX and OUTPUT as sharded deployment directories "
-        "(auto-detected when INDEX holds a deployment manifest)",
-    )
 
     recover = commands.add_parser(
-        "recover", help="rebuild an index from a snapshot plus its WAL"
+        "recover",
+        help="rebuild an index from a snapshot plus its WAL (SNAPSHOT WAL "
+        "OUTPUT), or a sharded deployment from its per-shard WALs "
+        "(DEPLOYMENT OUTPUT)",
     )
     recover.add_argument(
-        "snapshot",
-        help="last good index snapshot, or (with --shards) the sharded "
-        "deployment directory",
+        "snapshot", help="last good index snapshot, or a sharded deployment"
     )
     recover.add_argument(
         "wal",
-        help="write-ahead log (may be missing or torn), or (with --shards) "
+        help="write-ahead log (may be missing or torn); for a deployment, "
         "the output deployment directory",
     )
     recover.add_argument(
         "output",
         nargs="?",
-        help="output path for the recovered index (omit with --shards)",
-    )
-    recover.add_argument(
-        "--shards",
-        action="store_true",
-        help="recover a whole sharded deployment: every shard loads its "
-        "snapshot and replays its own WAL, in parallel",
+        help="output path for the recovered index (omitted for a deployment)",
     )
 
     explain = commands.add_parser("explain", help="explain one recommendation")
@@ -257,12 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=8315, help="listen port (0 = ephemeral)"
-    )
-    serve.add_argument(
-        "--shards",
-        action="store_true",
-        help="treat INDEX as a sharded deployment directory (auto-detected "
-        "when INDEX holds a deployment manifest)",
     )
     serve.add_argument(
         "--deadline-ms",
@@ -381,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="metrics snapshot of an index (runs sample queries)"
     )
     stats.add_argument(
-        "index", nargs="?", help="index file from `index` (omit with --url)"
+        "index",
+        nargs="?",
+        help="index file or sharded deployment (omit with --url)",
     )
     stats.add_argument(
         "--url",
@@ -400,9 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--serving",
         action="store_true",
         help=(
-            "route the sample queries through the ServingGateway twice "
+            "route the sample queries through the serving gateway twice "
             "(second pass hits the query memo), so the snapshot includes "
-            "the repro_serving_* counters"
+            "the repro_serving_* counters (a sharded deployment always "
+            "queries through its gateway)"
         ),
     )
     stats.add_argument(
@@ -455,34 +447,32 @@ def _cmd_generate(args) -> int:
 
 def _cmd_index(args) -> int:
     from repro.core import CommunityIndex, RecommenderConfig
-    from repro.io import load_dataset, save_index
+    from repro.io import load_dataset
+    from repro.sharding import ShardedIndex, save_master
 
     dataset = load_dataset(args.dataset)
     config = RecommenderConfig(omega=args.omega, k=args.k)
     if args.shards > 1:
-        from repro.sharding import ShardedIndex, save_shards
-
-        sharded = ShardedIndex.build(
+        master = ShardedIndex.build(
             dataset,
             config,
             args.shards,
             router=args.router,
             build_lsb=not args.no_lsb,
         )
-        save_shards(sharded, args.output)
-        sizes = sharded.shard_sizes()
-        print(
-            f"indexed {sum(sizes)} videos across {args.shards} "
-            f"{args.router} shards {sizes} -> {args.output}"
+        sizes = master.shard_sizes()
+        summary = (
+            f"{sum(sizes)} videos across {args.shards} {args.router} shards {sizes}"
         )
-        return 0
-    index = CommunityIndex(dataset, config, build_lsb=not args.no_lsb)
-    save_index(index, args.output)
-    print(
-        f"indexed {len(index.series)} videos "
-        f"({sum(len(s) for s in index.series.values())} signatures, "
-        f"{index.social.k} sub-communities) -> {args.output}"
-    )
+    else:
+        master = CommunityIndex(dataset, config, build_lsb=not args.no_lsb)
+        summary = (
+            f"{len(master.series)} videos "
+            f"({sum(len(s) for s in master.series.values())} signatures, "
+            f"{master.social.k} sub-communities)"
+        )
+    save_master(master, args.output)
+    print(f"indexed {summary} -> {args.output}")
     return 0
 
 
@@ -542,103 +532,33 @@ def _cmd_recommend(args) -> int:
     return 0
 
 
-def _cmd_ingest_sharded(args) -> int:
-    """Apply live updates to a sharded deployment directory.
+def _cmd_ingest(args) -> int:
+    from repro.io import WriteAheadLog, load_dataset
+    from repro.sharding import ShardedIndex, attach_wals, open_master, save_master
 
-    The deployment is recovered (snapshot + per-shard WAL replay), the
-    mutations route through the :class:`~repro.sharding.ShardedIndex`
-    facade — content to its owner shard, social state everywhere — with
-    every mutation logged to the owning shard's WAL, and the result is
-    checkpointed to the output deployment.
-    """
-    from repro.io import load_dataset
-    from repro.sharding import attach_wals, recover_shards, save_shards
-
-    if args.wal:
+    add_ids = [vid for vid in args.add.split(",") if vid]
+    if add_ids and not args.add_from:
+        print("error: --add requires --add-from DATASET", file=sys.stderr)
+        return 2
+    master = open_master(args.index)
+    # The one kind-specific step: a sharded deployment logs to its
+    # per-shard WALs, a single index to the optional --wal file.
+    sharded = isinstance(master, ShardedIndex)
+    if sharded and args.wal:
         print(
             "error: --wal applies to single-index files; a sharded "
             "deployment logs to its per-shard WALs",
             file=sys.stderr,
         )
         return 2
-    sharded = recover_shards(args.index)
-    wals = attach_wals(sharded, args.index)
+    if sharded:
+        wals = attach_wals(master, args.index)
+    elif args.wal:
+        wals = [WriteAheadLog(args.wal)]
+        master.attach_wal(wals[0])
+    else:
+        wals = []
     added = retired = applied = 0
-    add_ids = [vid for vid in args.add.split(",") if vid]
-    if add_ids and not args.add_from:
-        print("error: --add requires --add-from DATASET", file=sys.stderr)
-        return 2
-    try:
-        if add_ids:
-            source = load_dataset(args.add_from)
-            for video_id in add_ids:
-                if video_id not in source.records:
-                    print(
-                        f"error: unknown video {video_id!r} in {args.add_from}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                history = [
-                    c for c in source.comments if c.video_id == video_id
-                ]
-                for shard in sharded.shards:
-                    shard.add_comment_history(history)
-                sharded.ingest_video(source.records[video_id])
-                added += 1
-        for video_id in (vid for vid in args.retire.split(",") if vid):
-            sharded.retire_video(video_id)
-            retired += 1
-        if args.apply_months:
-            first, _, last = args.apply_months.partition("-")
-            first, last = int(first), int(last or first)
-            indexed = set(sharded.video_ids)
-            pairs = [
-                (c.user_id, c.video_id)
-                for c in sharded.shards[0].dataset.comments
-                if first <= c.month <= last and c.video_id in indexed
-            ]
-            sharded.apply_comments(pairs, incremental=args.incremental)
-            sharded.advance_watermark(last)
-            applied = len(pairs)
-    except (KeyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    finally:
-        for wal in wals:
-            wal.close()
-    save_shards(sharded, args.output)
-    sizes = sharded.shard_sizes()
-    seqs = [shard.wal_seq for shard in sharded.shards]
-    print(
-        f"ingested {added}, retired {retired}, applied {applied} comments -> "
-        f"{args.output} ({sum(sizes)} videos across {sharded.num_shards} "
-        f"shards {sizes}, wal seqs {seqs})"
-    )
-    return 0
-
-
-def _cmd_ingest(args) -> int:
-    from repro.io import WriteAheadLog, load_dataset, load_index, save_index
-    from repro.sharding import is_sharded_deployment
-
-    if args.shards or is_sharded_deployment(args.index):
-        if not is_sharded_deployment(args.index):
-            print(
-                f"error: {args.index!r} is not a sharded deployment directory",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_ingest_sharded(args)
-    index = load_index(args.index)
-    wal = None
-    if args.wal:
-        wal = WriteAheadLog(args.wal)
-        index.attach_wal(wal)
-    added = retired = applied = 0
-    add_ids = [vid for vid in args.add.split(",") if vid]
-    if add_ids and not args.add_from:
-        print("error: --add requires --add-from DATASET", file=sys.stderr)
-        return 2
     try:
         if add_ids:
             source = load_dataset(args.add_from)
@@ -651,87 +571,80 @@ def _cmd_ingest(args) -> int:
                     return 2
                 # Carry the video's comment history along so its social
                 # descriptor matches what a cold build would derive.
-                index.add_comment_history(
+                master.add_comment_history(
                     c for c in source.comments if c.video_id == video_id
                 )
-                index.ingest_video(source.records[video_id])
+                master.ingest_video(source.records[video_id])
                 added += 1
         for video_id in (vid for vid in args.retire.split(",") if vid):
-            index.retire_video(video_id)
+            master.retire_video(video_id)
             retired += 1
         if args.apply_months:
             first, _, last = args.apply_months.partition("-")
             first, last = int(first), int(last or first)
+            indexed = set(master.video_ids)
             pairs = [
                 (c.user_id, c.video_id)
-                for c in index.dataset.comments
-                if first <= c.month <= last and c.video_id in index.series
+                for c in master.dataset.comments
+                if first <= c.month <= last and c.video_id in indexed
             ]
-            index.apply_comments(pairs, incremental=args.incremental)
-            index.advance_watermark(last)
+            master.apply_comments(pairs, incremental=args.incremental)
+            master.advance_watermark(last)
             applied = len(pairs)
     except (KeyError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     finally:
-        if wal is not None:
+        for wal in wals:
             wal.close()
-    save_index(index, args.output)
-    wal_note = f", wal seq {index.wal_seq}" if args.wal else ""
+    save_master(master, args.output)
+    if sharded:
+        layout = f" across {master.num_shards} shards {master.shard_sizes()}"
+        journal = f", wal seqs {[shard.wal_seq for shard in master.shards]}"
+    else:
+        layout = ""
+        journal = f", revisions {master.revisions}"
+        journal += f", wal seq {master.wal_seq}" if wals else ""
     print(
         f"ingested {added}, retired {retired}, applied {applied} comments -> "
-        f"{args.output} ({len(index.series)} videos, watermark month "
-        f"{index.up_to_month}, revisions {index.revisions}{wal_note})"
+        f"{args.output} ({len(master.video_ids)} videos{layout}, watermark "
+        f"month {master.up_to_month}{journal})"
     )
     return 0
 
 
 def _cmd_recover(args) -> int:
-    from repro.io import recover, save_index
+    from repro.io import replay_wal
+    from repro.sharding import ShardedIndex, open_master, save_master
 
-    if args.shards:
-        if args.output is not None:
-            print(
-                "error: --shards takes DEPLOYMENT and OUTPUT directories "
-                "only (omit the third argument)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.sharding import recover_shards, save_shards
-
-        sharded = recover_shards(args.snapshot)
-        save_shards(sharded, args.wal)
-        for shard in sharded.shards:
-            info = shard.recovery
-            ops = (
-                ", ".join(f"{op} x{n}" for op, n in sorted(info.ops.items()))
-                or "none"
-            )
-            torn = ", torn tail dropped" if info.torn_tail else ""
-            print(
-                f"shard {shard.shard_id}: {len(shard.content.series)} videos "
-                f"(replayed {info.replayed}, skipped {info.skipped}{torn}; "
-                f"ops: {ops})"
-            )
-        sizes = sharded.shard_sizes()
+    master = open_master(args.snapshot)
+    # A deployment replays its own per-shard WALs while it opens (and
+    # takes only an OUTPUT); a snapshot file replays the WAL it is given.
+    if isinstance(master, ShardedIndex) != (args.output is None):
         print(
-            f"recovered {sum(sizes)} videos across {sharded.num_shards} "
-            f"shards -> {args.wal}"
+            "error: recover SNAPSHOT WAL OUTPUT (an index file) or "
+            "recover DEPLOYMENT OUTPUT (a sharded deployment)",
+            file=sys.stderr,
         )
-        return 0
-    if args.output is None:
-        print("error: recover SNAPSHOT WAL OUTPUT", file=sys.stderr)
         return 2
-    index = recover(args.snapshot, args.wal)
-    info = index.recovery
-    save_index(index, args.output)
-    ops = ", ".join(f"{op} x{n}" for op, n in sorted(info.ops.items())) or "none"
-    torn = ", torn tail dropped" if info.torn_tail else ""
-    print(
-        f"recovered {len(index.series)} videos (replayed {info.replayed} WAL "
-        f"records, skipped {info.skipped} already in snapshot{torn}; "
-        f"ops: {ops}) -> {args.output}"
-    )
+    if args.output is None:
+        output = args.wal
+        logs = [(f"shard {shard.shard_id}", shard) for shard in master.shards]
+    else:
+        output = args.output
+        replay_wal(master, args.wal)
+        logs = [(args.wal, master)]
+    save_master(master, output)
+    for label, part in logs:
+        info = part.recovery
+        ops = ", ".join(f"{op} x{n}" for op, n in sorted(info.ops.items())) or "none"
+        torn = ", torn tail dropped" if info.torn_tail else ""
+        print(
+            f"{label}: {len(part.video_ids)} videos (replayed {info.replayed} "
+            f"WAL records, skipped {info.skipped} already in snapshot{torn}; "
+            f"ops: {ops})"
+        )
+    print(f"recovered {len(master.video_ids)} videos -> {output}")
     return 0
 
 
@@ -776,59 +689,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_stats_sharded(args) -> int:
-    """Metrics snapshot of a sharded deployment: per-shard breakdown.
-
-    Sample queries run through the scatter-gather gateway, so the
-    snapshot carries the ``repro_sharded_*`` serving counters plus the
-    per-shard ``repro_shard_epoch_id`` / ``repro_shard_videos`` gauges;
-    index-level gauges get a ``repro_shard_wal_seq{shard=...}`` family
-    on top.
-    """
-    import json
-
-    from repro.obs import MetricsRegistry, use_metrics
-    from repro.sharding import ShardedGateway, recover_shards
-
-    sharded = recover_shards(args.index)
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        if args.queries > 0:
-            gateway = ShardedGateway(sharded)
-            try:
-                # Two identical passes, like --serving: miss then hit
-                # the scatter memo.
-                for _ in range(2):
-                    for video_id in sharded.video_ids[: args.queries]:
-                        gateway.recommend(video_id, args.top_k)
-            finally:
-                gateway.close()
-    registry.set_gauge("repro_index_videos", len(sharded.video_ids))
-    registry.set_gauge("repro_index_shards", sharded.num_shards)
-    registry.set_gauge(
-        "repro_index_subcommunities", sharded.shards[0].social_store.k
-    )
-    for shard in sharded.shards:
-        label = str(shard.shard_id)
-        registry.set_gauge(
-            "repro_shard_videos", len(shard.content.series), shard=label
-        )
-        registry.set_gauge("repro_shard_wal_seq", shard.wal_seq, shard=label)
-        registry.set_gauge(
-            "repro_shard_watermark_month", shard.up_to_month, shard=label
-        )
-    snapshot = registry.snapshot()
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.format == "json":
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-    else:
-        print(registry.to_prometheus(), end="")
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import pathlib
     import signal
@@ -841,8 +701,8 @@ def _cmd_serve(args) -> int:
         RecommendService,
         ReproHTTPServer,
     )
-    from repro.serving import GatewayConfig, ServingGateway
-    from repro.sharding import is_sharded_deployment
+    from repro.serving import GatewayConfig
+    from repro.sharding import companion_path, open_master, serving_gateway
 
     defense = None
     if (
@@ -865,26 +725,8 @@ def _cmd_serve(args) -> int:
         queue_depth=args.queue_depth,
         defense=defense,
     )
-    if args.shards or is_sharded_deployment(args.index):
-        from repro.sharding import ShardedGateway, recover_shards
-
-        if not is_sharded_deployment(args.index):
-            print(
-                f"error: {args.index!r} is not a sharded deployment directory",
-                file=sys.stderr,
-            )
-            return 2
-        sharded = recover_shards(args.index)
-        gateway = ShardedGateway(sharded, config=gateway_config)
-        videos, shards = len(sharded.video_ids), sharded.num_shards
-        default_log = pathlib.Path(args.index) / "interactions.wal"
-    else:
-        from repro.io import load_index
-
-        index = load_index(args.index)
-        gateway = ServingGateway(index, config=gateway_config)
-        videos, shards = len(index.series), 1
-        default_log = pathlib.Path(f"{args.index}.interactions.wal")
+    master = open_master(args.index)
+    gateway = serving_gateway(master, config=gateway_config)
     config = NetConfig(
         default_deadline_ms=args.deadline_ms,
         rate_limit=args.rate_limit,
@@ -901,7 +743,11 @@ def _cmd_serve(args) -> int:
             slow_seconds=args.chaos_slow_ms / 1000.0,
             abort_every=args.chaos_abort_every,
         )
-    log_path = pathlib.Path(args.log) if args.log else default_log
+    log_path = (
+        pathlib.Path(args.log)
+        if args.log
+        else companion_path(args.index, "interactions.wal")
+    )
     service = RecommendService(gateway, InteractionLog(log_path), config)
     server = ReproHTTPServer(service, args.host, args.port, chaos=chaos)
     stop = threading.Event()
@@ -911,15 +757,14 @@ def _cmd_serve(args) -> int:
     # The netchaos harness parses this line for the bound URL; keep the
     # "on http://" marker stable.
     print(
-        f"serving {videos} videos across {shards} shard(s) on {server.url} "
+        f"serving {len(gateway.video_ids)} videos across {gateway.num_shards} "
+        f"shard(s) on {server.url} "
         f"(interaction log {log_path}, {service.applied_seq} replayed)",
         flush=True,
     )
     stop.wait()
     leftover = server.drain(args.drain_s)
-    closer = getattr(gateway, "close", None)
-    if closer is not None:
-        closer()
+    gateway.close()
     note = f" ({leftover} still in flight at cutoff)" if leftover else ""
     print(f"drained{note}; interaction log flushed at seq {service.interactions.seq}")
     return 0
@@ -1067,65 +912,82 @@ def _cmd_load(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    import json
-
-    from repro.io import load_index
     from repro.obs import MetricsRegistry, use_metrics
-    from repro.sharding import is_sharded_deployment
+    from repro.sharding import ShardedIndex, open_master, serving_gateway
 
     if args.url:
         from repro.net import RetryingClient
 
         client = RetryingClient(args.url)
         if args.format == "json":
-            snapshot = client.stats_snapshot("json")
-            if args.output:
-                with open(args.output, "w") as handle:
-                    json.dump(snapshot, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
-            print(json.dumps(snapshot, indent=2, sort_keys=True))
+            _emit_snapshot(args, client.stats_snapshot("json"), "")
         else:
             print(client.stats_snapshot("prom"), end="")
         return 0
     if args.index is None:
         print("error: stats needs an INDEX argument or --url", file=sys.stderr)
         return 2
-    if is_sharded_deployment(args.index):
-        return _cmd_stats_sharded(args)
-    index = load_index(args.index)
+    master = open_master(args.index)
+    sharded = isinstance(master, ShardedIndex)
     registry = MetricsRegistry()
     with use_metrics(registry):
-        if args.queries > 0 and getattr(args, "serving", False):
-            from repro.defense import init_defense_metrics
-            from repro.serving.gateway import ServingGateway
+        sample = master.video_ids[: max(args.queries, 0)]
+        if sample and (args.serving or sharded):
+            # A deployment is only queryable through its scatter-gather
+            # gateway, so it takes this path with or without --serving.
+            if args.serving:
+                from repro.defense import init_defense_metrics
 
-            # Zero-register the repro_defense_* families so dashboards
-            # see the full defense surface even before any attack.
-            init_defense_metrics()
-            gateway = ServingGateway(index)
-            # Two identical passes: the first misses the query memo and
-            # scans, the second hits it — both counter families land in
-            # the snapshot.
-            for _ in range(2):
-                for video_id in index.video_ids[: args.queries]:
-                    gateway.recommend(video_id, args.top_k)
-        elif args.queries > 0:
-            recommender = _make_recommender(index, args.method)
-            for video_id in index.video_ids[: args.queries]:
+                # Zero-register the repro_defense_* families so dashboards
+                # see the full defense surface even before any attack.
+                init_defense_metrics()
+            gateway = serving_gateway(master)
+            try:
+                # Two identical passes: the first misses the query memo
+                # and scans, the second hits it — both counter families
+                # land in the snapshot.
+                for _ in range(2):
+                    for video_id in sample:
+                        gateway.recommend(video_id, args.top_k)
+            finally:
+                gateway.close()
+        elif sample:
+            recommender = _make_recommender(master, args.method)
+            for video_id in sample:
                 recommender.recommend(video_id, args.top_k)
-    registry.set_gauge("repro_index_videos", len(index.series))
-    registry.set_gauge(
-        "repro_index_signatures", sum(len(s) for s in index.series.values())
-    )
-    registry.set_gauge("repro_index_subcommunities", index.social_store.k)
-    registry.set_gauge("repro_index_content_revision", index.content.revision)
-    registry.set_gauge("repro_index_social_revision", index.social_store.revision)
-    registry.set_gauge(
-        "repro_social_available", 1 if index.social_store.available else 0
-    )
-    registry.set_gauge("repro_social_watermark_month", index.up_to_month)
-    registry.set_gauge("repro_wal_seq", index.wal_seq)
-    snapshot = registry.snapshot()
+    gauges = {
+        "repro_index_videos": len(master.video_ids),
+        "repro_index_subcommunities": master.social_store.k,
+    }
+    if sharded:
+        gauges["repro_index_shards"] = master.num_shards
+        for shard in master.shards:
+            label = str(shard.shard_id)
+            for name, value in (
+                ("repro_shard_videos", len(shard.content.series)),
+                ("repro_shard_wal_seq", shard.wal_seq),
+                ("repro_shard_watermark_month", shard.up_to_month),
+            ):
+                registry.set_gauge(name, value, shard=label)
+    else:
+        gauges.update(
+            repro_index_signatures=sum(len(s) for s in master.series.values()),
+            repro_index_content_revision=master.content.revision,
+            repro_index_social_revision=master.social_store.revision,
+            repro_social_available=int(master.social_store.available),
+            repro_social_watermark_month=master.up_to_month,
+            repro_wal_seq=master.wal_seq,
+        )
+    for name, value in gauges.items():
+        registry.set_gauge(name, value)
+    _emit_snapshot(args, registry.snapshot(), registry.to_prometheus())
+    return 0
+
+
+def _emit_snapshot(args, snapshot: dict, prometheus: str) -> None:
+    """Print *snapshot* in ``--format``; ``--output`` gets its JSON."""
+    import json
+
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(snapshot, handle, indent=2, sort_keys=True)
@@ -1133,8 +995,7 @@ def _cmd_stats(args) -> int:
     if args.format == "json":
         print(json.dumps(snapshot, indent=2, sort_keys=True))
     else:
-        print(registry.to_prometheus(), end="")
-    return 0
+        print(prometheus, end="")
 
 
 def _cmd_faults(args) -> int:

@@ -194,14 +194,13 @@ def _membership_probe(gateway):
     The spam guard uses it to avoid recording no-op applications as
     revocable: un-applying a comment whose user was already in the
     video's descriptor would remove a membership the spammer never
-    added.  Descriptors replicate to every shard, so shard 0 answers
-    for a sharded gateway.  Advisory — a stale read only widens or
+    added.  Advisory — a stale read only widens or
     narrows the revocation set, never corrupts state.
     """
     index = getattr(gateway, "_master", None)
     if index is None:
         return None
-    store = getattr(index, "shards", [index])[0].social_store
+    store = index.social_store
 
     def probe(user: str, video: str) -> bool:
         descriptor = store.descriptors.get(video)
@@ -226,7 +225,8 @@ class RecommendService:
 
     *gateway* is a :class:`~repro.serving.gateway.ServingGateway` or
     :class:`~repro.sharding.gateway.ShardedGateway` (duck-typed: both
-    expose ``recommend`` / ``apply_comments`` and an epoch identity).
+    expose ``recommend`` / ``apply_comments``, ``video_ids`` /
+    ``has_video`` and an epoch identity).
     *interactions* is the durable log; any records already on disk are
     replayed into the gateway **before** serving starts, so a restarted
     server's rankings reflect every interaction it ever acknowledged.
@@ -318,21 +318,6 @@ class RecommendService:
         """Refuse new work (503, readyz red); in-flight requests finish."""
         self._draining.set()
         get_metrics().set_gauge("repro_http_draining", 1)
-
-    def _has_video(self, video_id: str) -> bool:
-        epochs = getattr(self.gateway, "current_epochs", None)
-        if epochs is not None:
-            return any(video_id in epoch.series for epoch in epochs)
-        return video_id in self.gateway.current_epoch.series
-
-    def _video_ids(self) -> list[str]:
-        epochs = getattr(self.gateway, "current_epochs", None)
-        if epochs is not None:
-            merged: list[str] = []
-            for epoch in epochs:
-                merged.extend(epoch.video_ids)
-            return sorted(merged)
-        return list(self.gateway.current_epoch.video_ids)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -436,7 +421,7 @@ class RecommendService:
         return 200, {}, dump_body(metrics.snapshot())
 
     def _handle_videos(self, params):
-        ids = self._video_ids()
+        ids = self.gateway.video_ids
         limit = params.get("limit")
         if limit is not None:
             limit = int(limit)
@@ -479,7 +464,7 @@ class RecommendService:
         metrics.inc("repro_http_cache_miss_total")
         metrics.set_gauge("repro_http_cache_invalidate_total", self.cache.invalidations)
         metrics.set_gauge("repro_http_cache_stale_total", self.cache.stale_rejections)
-        if not self._has_video(video_id):
+        if not self.gateway.has_video(video_id):
             raise KeyError(f"unknown video {video_id!r}")
         result = self.gateway.recommend(video_id, top_k, deadline=deadline)
         epoch_key = result.epoch_key
@@ -516,7 +501,7 @@ class RecommendService:
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise ValueError("request body is not valid JSON") from None
         record = validate_interaction(doc)
-        if not self._has_video(record["video_id"]):
+        if not self.gateway.has_video(record["video_id"]):
             raise KeyError(f"unknown video {record['video_id']!r}")
         if self.guard is not None and self.guard.state_of(record["user_id"]) == (
             "confirmed"

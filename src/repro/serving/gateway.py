@@ -373,7 +373,8 @@ class GatewayCore:
       the epoch-keyed query memo.
 
     A subclass supplies ``_omega``, ``epoch_key`` (the current epoch
-    identity), ``_key_of(pinned)``, ``_pin`` / ``_unpin`` (one epoch or
+    identity), ``num_shards`` / ``video_ids`` / ``has_video`` (what it
+    serves), ``_key_of(pinned)``, ``_pin`` / ``_unpin`` (one epoch or
     the epoch vector), ``_answer`` (memo plus scan, or memo plus
     scatter/merge), ``_stamp`` (the attributes a served result carries,
     ``epoch_key`` among them) and ``_follower_copy``.  Per-request
@@ -487,6 +488,9 @@ class GatewayCore:
                 if self._mutation_depth == 0 and self._publish_pending:
                     self._publish_pending = False
                     self._maybe_publish()
+
+    def close(self) -> None:
+        """Release serving resources (a no-op unless a subclass holds any)."""
 
     # ------------------------------------------------------------------
     # Mutations (serialized; each publishes a fresh epoch)
@@ -771,6 +775,18 @@ class ServingGateway(GatewayCore):
     def epoch_key(self) -> int:
         """Id of the current epoch — the ``epoch_key`` results carry."""
         return self.current_epoch.epoch_id
+
+    #: One index is served as one shard.
+    num_shards = 1
+
+    @property
+    def video_ids(self) -> list[str]:
+        """The current epoch's video ids, sorted."""
+        return self.current_epoch.video_ids
+
+    def has_video(self, video_id: str) -> bool:
+        """Whether the current epoch serves *video_id*."""
+        return video_id in self.current_epoch.series
 
     @property
     def epochs(self) -> EpochManager:

@@ -6,14 +6,19 @@ bit-identically to the single-index oracle via :class:`ShardedGateway`,
 and persists/recovers each shard independently.
 """
 
-from repro.sharding.gateway import ShardedGateway, ShardServingGateway
+from repro.sharding.gateway import (
+    ShardedGateway,
+    ShardServingGateway,
+    serving_gateway,
+)
 from repro.sharding.persist import (
     attach_wals,
+    companion_path,
     is_sharded_deployment,
-    load_shards,
+    open_master,
     read_manifest,
-    recover_shard,
     recover_shards,
+    save_master,
     save_shards,
     shard_paths,
 )
@@ -34,12 +39,14 @@ __all__ = [
     "ShardIndex",
     "ZOrderShardRouter",
     "attach_wals",
+    "companion_path",
     "is_sharded_deployment",
-    "load_shards",
     "make_router",
+    "open_master",
     "read_manifest",
-    "recover_shard",
     "recover_shards",
+    "save_master",
     "save_shards",
+    "serving_gateway",
     "shard_paths",
 ]

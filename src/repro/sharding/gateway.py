@@ -44,6 +44,7 @@ and therefore never mixes shard states from different publications.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -58,7 +59,7 @@ from repro.serving.epoch import CommunityEpoch
 from repro.serving.gateway import GatewayConfig, GatewayCore, ServingGateway
 from repro.sharding.shard import ShardedIndex
 
-__all__ = ["ShardServingGateway", "ShardedGateway"]
+__all__ = ["ShardServingGateway", "ShardedGateway", "serving_gateway"]
 
 
 class ShardServingGateway(ServingGateway):
@@ -226,6 +227,15 @@ class ShardedGateway(GatewayCore):
     def epoch_key(self) -> tuple[int, ...]:
         """Epoch ids of the current vector — the ``epoch_key`` results carry."""
         return self._key_of(self.current_epochs)
+
+    @property
+    def video_ids(self) -> list[str]:
+        """The current vector's video ids, sorted (shards partition them)."""
+        return list(heapq.merge(*(epoch.video_ids for epoch in self.current_epochs)))
+
+    def has_video(self, video_id: str) -> bool:
+        """Whether some shard's current epoch serves *video_id*."""
+        return any(video_id in epoch.series for epoch in self.current_epochs)
 
     def close(self) -> None:
         """Shut the scatter thread pool down (idempotent)."""
@@ -501,3 +511,11 @@ class ShardedGateway(GatewayCore):
             total=total,
             scores=[score for score, _ in top],
         )
+
+
+def serving_gateway(master, **kwargs) -> GatewayCore:
+    """The gateway over *master*: a :class:`ShardedGateway` for a
+    :class:`ShardedIndex`, else a :class:`ServingGateway`."""
+    if isinstance(master, ShardedIndex):
+        return ShardedGateway(master, **kwargs)
+    return ServingGateway(master, **kwargs)

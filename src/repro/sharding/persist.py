@@ -20,6 +20,11 @@ snapshot.  Recovery therefore parallelises trivially: every shard is
 cross-shard step is re-deriving the pinned bank layout afterwards, which
 is cheap and deterministic (it is a pure function of the recovered
 content, so it is *not* persisted).
+
+:func:`open_master` / :func:`save_master` are the one place a path is
+told apart: a directory holding a manifest is a :class:`ShardedIndex`,
+anything else a single snapshot file.  Both kinds of *master* take the
+same mutation calls, so their callers need not ask which they hold.
 """
 
 from __future__ import annotations
@@ -36,11 +41,12 @@ from repro.sharding.shard import ShardedIndex, ShardIndex
 
 __all__ = [
     "attach_wals",
+    "companion_path",
     "is_sharded_deployment",
-    "load_shards",
+    "open_master",
     "read_manifest",
-    "recover_shard",
     "recover_shards",
+    "save_master",
     "save_shards",
     "shard_paths",
 ]
@@ -60,6 +66,37 @@ def is_sharded_deployment(path: str | pathlib.Path) -> bool:
     """Whether *path* is a sharded deployment directory."""
     path = pathlib.Path(path)
     return path.is_dir() and (path / MANIFEST_NAME).is_file()
+
+
+def open_master(path: str | pathlib.Path):
+    """Open *path*: :func:`recover_shards` on a deployment (replaying
+    every shard's WAL), ``load_index`` on a snapshot file.  Both are
+    looked up on their packages at call time, so wrappers installed
+    there (the end-to-end benchmark's setup spans) see the call."""
+    import repro.io
+    import repro.sharding
+
+    if is_sharded_deployment(path):
+        return repro.sharding.recover_shards(path)
+    return repro.io.load_index(path)
+
+
+def save_master(master, path: str | pathlib.Path) -> None:
+    """Checkpoint *master* to *path*: a deployment directory for a
+    :class:`ShardedIndex`, one snapshot file for a single index."""
+    if isinstance(master, ShardedIndex):
+        save_shards(master, path)
+    else:
+        save_index(master, path)
+
+
+def companion_path(path: str | pathlib.Path, name: str) -> pathlib.Path:
+    """File *name* of the index at *path*: inside a deployment
+    directory, beside a snapshot file as ``<path>.<name>``."""
+    path = pathlib.Path(path)
+    if is_sharded_deployment(path):
+        return path / name
+    return path.with_name(f"{path.name}.{name}")
 
 
 def read_manifest(root: str | pathlib.Path) -> dict:
@@ -96,25 +133,6 @@ def save_shards(sharded: ShardedIndex, root: str | pathlib.Path) -> None:
     atomic_write_bytes(root / MANIFEST_NAME, payload)
 
 
-def recover_shard(
-    snapshot_path: str | pathlib.Path,
-    wal_path: str | pathlib.Path,
-    shard_id: int,
-    num_shards: int,
-) -> ShardIndex:
-    """Recover one shard: load its snapshot, adopt, replay its log."""
-    shard = ShardIndex._adopt(load_index(snapshot_path), shard_id, num_shards)
-    replay_wal(shard, wal_path)
-    return shard
-
-
-def _assemble(
-    root: pathlib.Path, shards: list[ShardIndex], router_kind: str
-) -> ShardedIndex:
-    router = make_router(router_kind, len(shards), shards[0].config)
-    return ShardedIndex(shards, router)
-
-
 def recover_shards(
     root: str | pathlib.Path, max_workers: int | None = None
 ) -> ShardedIndex:
@@ -128,31 +146,17 @@ def recover_shards(
     root = pathlib.Path(root)
     manifest = read_manifest(root)
     count = int(manifest["shards"])
+
+    def recover_shard(shard_id: int) -> ShardIndex:
+        snapshot, wal = shard_paths(root, shard_id)
+        shard = ShardIndex._adopt(load_index(snapshot), shard_id, count)
+        replay_wal(shard, wal)
+        return shard
+
     with ThreadPoolExecutor(max_workers=max_workers or count) as pool:
-        futures = [
-            pool.submit(recover_shard, *shard_paths(root, i), i, count)
-            for i in range(count)
-        ]
-        shards = [future.result() for future in futures]
-    return _assemble(root, shards, manifest["router"])
-
-
-def load_shards(root: str | pathlib.Path) -> ShardedIndex:
-    """Load a deployment's snapshots without replaying the WALs.
-
-    The checkpoint-only view — what a deliberately-rewound deployment
-    serves.  Most callers want :func:`recover_shards`.
-    """
-    root = pathlib.Path(root)
-    manifest = read_manifest(root)
-    count = int(manifest["shards"])
-    shards = []
-    for shard_id in range(count):
-        snapshot, _ = shard_paths(root, shard_id)
-        shards.append(
-            ShardIndex._adopt(load_index(snapshot), shard_id, count)
-        )
-    return _assemble(root, shards, manifest["router"])
+        shards = list(pool.map(recover_shard, range(count)))
+    router = make_router(manifest["router"], count, shards[0].config)
+    return ShardedIndex(shards, router)
 
 
 def attach_wals(

@@ -12,11 +12,12 @@ to *every* shard; only content ingest/retire routes to one owner.
 
 :class:`ShardedIndex` coordinates S shards behind the familiar mutation
 API (``ingest_video`` / ``retire_video`` / ``apply_comments`` /
-``advance_watermark``) plus :meth:`ShardedIndex.pin_layout`, which
-reduces the shards' natural bank layouts to the global (oracle) layout
-and pins it everywhere — the float32 scoring kernel's results depend on
-the packed width and key offset, so pinning is what upgrades "same
-scores up to float error" to "bitwise the same scores".
+``remove_comments`` / ``advance_watermark`` / ``add_comment_history``)
+plus :meth:`ShardedIndex.pin_layout`, which reduces the shards' natural
+bank layouts to the global (oracle) layout and pins it everywhere — the
+float32 scoring kernel's results depend on the packed width and key
+offset, so pinning is what upgrades "same scores up to float error" to
+"bitwise the same scores".
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from repro.community.models import (
     DEFAULT_UP_TO_MONTH,
+    Comment,
     CommunityDataset,
     VideoRecord,
 )
@@ -216,6 +218,21 @@ class ShardedIndex:
         return len(self.shards)
 
     @property
+    def dataset(self) -> CommunityDataset:
+        """The records and comment log (every shard holds all comments)."""
+        return self.shards[0].dataset
+
+    @property
+    def social_store(self) -> SocialStore:
+        """The social state, replicated on every shard (shard 0's copy)."""
+        return self.shards[0].social_store
+
+    @property
+    def up_to_month(self) -> int:
+        """The comment watermark (every shard advances it together)."""
+        return self.shards[0].up_to_month
+
+    @property
     def video_ids(self) -> list[str]:
         """All indexed video ids across shards, sorted."""
         merged: list[str] = []
@@ -281,7 +298,7 @@ class ShardedIndex:
         if isinstance(clip_or_record, VideoClip):
             return clip_or_record.video_id, clip_or_record
         record: VideoRecord = clip_or_record
-        host = self.shards[0].dataset
+        host = self.dataset
         added = record.video_id not in host.records
         if added:
             host.records[record.video_id] = record
@@ -348,3 +365,10 @@ class ShardedIndex:
         for shard in self.shards:
             result = shard.advance_watermark(month)
         return result
+
+    def add_comment_history(self, comments: Iterable[Comment]) -> int:
+        """Extend every shard's historical comment log (WAL-logged)."""
+        batch = list(comments)
+        for shard in self.shards:
+            shard.add_comment_history(batch)
+        return len(batch)

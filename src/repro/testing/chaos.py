@@ -91,7 +91,7 @@ from repro.errors import OverloadedError
 from repro.obs import MetricsRegistry, use_metrics
 from repro.serving import GatewayConfig, ServingGateway
 from repro.serving.gateway import SERVE_SOCIAL_POINT
-from repro.sharding import ShardedGateway, ShardedIndex, make_router
+from repro.sharding import ShardedIndex, make_router, serving_gateway
 from repro.testing.faults import FaultPlan
 
 __all__ = ["SoakConfig", "SoakReport", "run_soak"]
@@ -1013,6 +1013,28 @@ def _dump_artifact(config: SoakConfig, report: SoakReport) -> str | None:
     return path
 
 
+def _recover_breakers(
+    gateways, top_k: int, cooldown: float, timeout: float = 2.0
+) -> None:
+    """Probe every non-closed breaker of *gateways* until all close (or
+    *timeout* passes), querying each gateway directly with a video its
+    current epoch holds: the sharded gateway answers from its memo
+    before it scatters, so a query through it may never reach a shard."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        waiting = [gw for gw in gateways if gw.breaker.state != "closed"]
+        if not waiting:
+            return
+        time.sleep(cooldown)
+        for gw in waiting:
+            held = gw.video_ids
+            try:
+                if held:
+                    gw.recommend(held[0], top_k=top_k)
+            except OverloadedError:  # pragma: no cover - drained by now
+                pass
+
+
 def run_soak(config: SoakConfig | None = None) -> SoakReport:
     """Run one seeded chaos soak; see the module docstring for the shape.
 
@@ -1035,20 +1057,17 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
         )
     rec_config = RecommenderConfig(k=12)
     sharded = config.shards > 1
+    router = make_router(config.router, config.shards, rec_config) if sharded else None
+    pools = _writer_pools(dataset, base_ids, config.writers, router=router)
     if sharded:
-        router = make_router(config.router, config.shards, rec_config)
-        pools = _writer_pools(dataset, base_ids, config.writers, router=router)
         index = ShardedIndex.build(
             dataset.subset(base_ids), rec_config, config.shards, router=router
         )
-        for shard in index.shards:
-            shard.dataset.comments = list(dataset.comments)
-        plans = [FaultPlan() for _ in range(config.shards)]
     else:
-        pools = _writer_pools(dataset, base_ids, config.writers)
         index = LiveCommunityIndex(dataset.subset(base_ids), rec_config)
-        index.dataset.comments = list(dataset.comments)
-        plans = [FaultPlan()]
+    for part in index.shards if sharded else [index]:
+        part.dataset.comments = list(dataset.comments)
+    plans = [FaultPlan() for _ in range(config.shards)]
     # The retire storm churns its own pool, stolen from the writers so
     # storm and writer mutations never touch the same video.
     storm_pool: list[str] = []
@@ -1067,8 +1086,7 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
         and config.defense is not None
         and config.defense.quarantine
     ):
-        master = index.shards[0] if sharded else index
-        store = master.social_store
+        store = index.social_store
 
         def _membership(user: str, video: str) -> bool:
             descriptor = store.descriptors.get(video)
@@ -1078,22 +1096,13 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
     metrics = MetricsRegistry()
     started = time.monotonic()
     with use_metrics(metrics):
-        if sharded:
-            gateway = ShardedGateway(
-                index,
-                config=gateway_config,
-                faults=plans,
-                seed=config.seed,
-                social_mode=config.social_mode,
-            )
-        else:
-            gateway = ServingGateway(
-                index,
-                config=gateway_config,
-                faults=plans[0],
-                seed=config.seed,
-                social_mode=config.social_mode,
-            )
+        gateway = serving_gateway(
+            index,
+            config=gateway_config,
+            faults=plans if sharded else plans[0],
+            seed=config.seed,
+            social_mode=config.social_mode,
+        )
         baseline_rank: dict[str, list[str]] = {}
         if config.scenario == "spam_burst":
             baseline_rank = {
@@ -1220,17 +1229,10 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
         # Let every breaker recover (faults are disarmed) so the report
         # can assert the full trip -> open -> half-open -> closed cycle.
         shard_gateways = gateway.gateways if sharded else [gateway]
-        deadline = time.monotonic() + 2.0
-        while (
-            any(gw.breaker.state != "closed" for gw in shard_gateways)
-            and report.queries_total
-            and time.monotonic() < deadline
-        ):
-            time.sleep(config.gateway.breaker_cooldown)
-            try:
-                gateway.recommend(base_ids[0], top_k=config.top_k)
-            except OverloadedError:  # pragma: no cover - drained by now
-                pass
+        if report.queries_total:
+            _recover_breakers(
+                shard_gateways, config.top_k, config.gateway.breaker_cooldown
+            )
         if config.scenario == "spam_burst":
             final_rank = {
                 qid: list(gateway.recommend(qid, top_k=config.top_k))
@@ -1249,8 +1251,7 @@ def run_soak(config: SoakConfig | None = None) -> SoakReport:
                         if guard.state_of(user) == "confirmed"
                     ),
                 }
-        if sharded:
-            gateway.close()
+        gateway.close()
     report.elapsed_seconds = time.monotonic() - started
     report.epochs_published = sum(gw.epochs.published_total for gw in shard_gateways)
     report.epochs_retired = sum(gw.epochs.retired_total for gw in shard_gateways)

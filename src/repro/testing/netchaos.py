@@ -292,8 +292,8 @@ def _collect_rows(report: NetChaosReport, gens) -> list[dict]:
     return rows
 
 
-def _served_queries(url: str) -> int:
-    """Recommend+interaction requests the server has answered so far."""
+def _served_requests(url: str, *routes: str) -> int:
+    """Requests on *routes* the server has answered so far."""
     from repro.net.client import RetryingClient, RetryPolicy
 
     client = RetryingClient(url, RetryPolicy(attempts=1, timeout=5.0))
@@ -302,21 +302,23 @@ def _served_queries(url: str) -> int:
         int(value)
         for key, value in counters.items()
         if key.startswith("repro_http_requests_total")
-        and ('route="recommend"' in key or 'route="interaction"' in key)
+        and any(f'route="{route}"' in key for route in routes)
     )
 
 
-def _await_traffic(url: str, threshold: int, timeout: float) -> int:
-    """Block until the server has served *threshold* queries (or timeout)."""
+def _await_traffic(url: str, threshold: int, loadgens: int, timeout: float) -> int:
+    """Block until the server has served *threshold* queries and each of
+    *loadgens* has fetched the catalogue (or timeout): a generator still
+    starting up at the SIGTERM would find no server and give up."""
     deadline = time.monotonic() + timeout
     served = 0
     while time.monotonic() < deadline:
         try:
-            served = _served_queries(url)
+            served = _served_requests(url, "recommend", "interaction")
+            if served >= threshold and _served_requests(url, "videos") >= loadgens:
+                break
         except Exception:  # noqa: BLE001 - transient; keep polling
             served = 0
-        if served >= threshold:
-            break
         time.sleep(0.05)
     return served
 
@@ -458,7 +460,7 @@ def run_net_soak(config: NetChaosConfig) -> NetChaosReport:
         gens = _spawn_loadgens(config, url, workdir, phase=1, queries=phase1)
         threshold = max(10, int(phase1 * config.drain_after_fraction))
         report.served_at_sigterm = _await_traffic(
-            url, threshold, config.startup_timeout_s
+            url, threshold, len(gens), config.startup_timeout_s
         )
         report.loadgens_alive_at_sigterm = sum(
             1 for proc, _ in gens if proc.poll() is None

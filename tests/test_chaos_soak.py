@@ -185,6 +185,44 @@ class TestShardedSoakInvariants:
         )
 
 
+class TestBreakerRecovery:
+    def test_open_shard_breaker_recovers_behind_a_memoized_query(self):
+        """A memoized scatter answer must not starve a shard's probe."""
+        from repro.community import build_workload
+        from repro.core import RecommenderConfig
+        from repro.serving import GatewayConfig
+        from repro.sharding import ShardedGateway, ShardedIndex
+        from repro.testing.chaos import _recover_breakers
+
+        now = [0.0]
+        sharded = ShardedIndex.build(
+            build_workload(hours=2.0, seed=9).dataset,
+            RecommenderConfig(k=12),
+            2,
+            build_lsb=False,
+        )
+        gateway = ShardedGateway(
+            sharded,
+            config=GatewayConfig(default_deadline=None, breaker_cooldown=1.0),
+            breaker_clock=lambda: now[0],
+        )
+        try:
+            query = sharded.video_ids[0]
+            gateway.recommend(query, 5)  # the probe query is now memoized
+            breaker = gateway.gateways[1].breaker
+            for _ in range(breaker.failure_threshold):
+                breaker.record_failure()
+            assert breaker.state == OPEN
+            now[0] += 2.0  # past the cooldown
+            # The sharded gateway answers from its memo: no shard probed.
+            gateway.recommend(query, 5)
+            assert breaker.state == OPEN
+            _recover_breakers(gateway.gateways, top_k=5, cooldown=0.0)
+            assert [gw.breaker.state for gw in gateway.gateways] == [CLOSED] * 2
+        finally:
+            gateway.close()
+
+
 @pytest.fixture(scope="module")
 def sketch_report():
     # A smaller soak (same writer/reader/fault pressure) running both the

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import shutil
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -17,6 +19,53 @@ def index_path(dataset_path, tmp_path_factory):
     path = tmp_path_factory.mktemp("cli-index") / "index.json.gz"
     assert main(["index", str(dataset_path), str(path), "--k", "8"]) == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def deployment_path(dataset_path, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli-deployment") / "deployment"
+    assert (
+        main(["index", str(dataset_path), str(path), "--k", "8", "--shards", "2"])
+        == 0
+    )
+    return path
+
+
+@pytest.fixture
+def master_path(index_path):
+    """The index the kind-agnostic cases run over: the snapshot file here,
+    a deployment in the ``...OnADeployment`` subclasses."""
+    return index_path
+
+
+class _OnADeployment:
+    """Reruns a test class's cases over a private copy of a 2-shard
+    deployment (ingest appends to the deployment's own per-shard WALs)."""
+
+    @pytest.fixture
+    def master_path(self, deployment_path, tmp_path):
+        copy = tmp_path / "deployment"
+        shutil.copytree(deployment_path, copy)
+        return copy
+
+
+def _open(path):
+    """The index at *path* (a snapshot file or a recovered deployment)."""
+    from repro.sharding import open_master
+
+    return open_master(path)
+
+
+def _like(master_path, tmp_path, stem):
+    """An output path of the same kind as *master_path*."""
+    return tmp_path / (f"{stem}.json.gz" if master_path.is_file() else stem)
+
+
+def _shard_bytes(deployment):
+    """The bytes of every per-shard snapshot of *deployment*, in order."""
+    shards = sorted(deployment.glob("shard-*.idx.gz"))
+    assert shards, f"no shard snapshots under {deployment}"
+    return [shard.read_bytes() for shard in shards]
 
 
 class TestParser:
@@ -90,17 +139,15 @@ class TestExplain:
 
 
 class TestIngest:
-    def test_retire_and_apply_comments(self, index_path, tmp_path, capsys):
-        from repro.io import load_index
-
-        before = load_index(index_path)
+    def test_retire_and_apply_comments(self, master_path, tmp_path, capsys):
+        before = _open(master_path)
         victim = before.video_ids[-1]
-        out = tmp_path / "updated.json.gz"
+        out = _like(master_path, tmp_path, "updated")
         assert (
             main(
                 [
                     "ingest",
-                    str(index_path),
+                    str(master_path),
                     str(out),
                     "--retire",
                     victim,
@@ -111,24 +158,22 @@ class TestIngest:
             == 0
         )
         assert "retired 1" in capsys.readouterr().out
-        updated = load_index(out)
+        updated = _open(out)
         assert victim not in updated.video_ids
         assert len(updated.video_ids) == len(before.video_ids) - 1
         assert updated.up_to_month == 15
 
-    def test_add_requires_source_dataset(self, index_path, tmp_path, capsys):
-        out = tmp_path / "updated.json.gz"
-        assert main(["ingest", str(index_path), str(out), "--add", "v00001"]) == 2
+    def test_add_requires_source_dataset(self, master_path, tmp_path, capsys):
+        out = _like(master_path, tmp_path, "updated")
+        assert main(["ingest", str(master_path), str(out), "--add", "v00001"]) == 2
         assert "--add-from" in capsys.readouterr().err
 
-    def test_add_round_trips_video(self, dataset_path, index_path, tmp_path):
-        from repro.io import load_index
-
+    def test_add_round_trips_video(self, dataset_path, master_path, tmp_path):
         # Retire a video, then re-add it from the source dataset.
-        first = tmp_path / "without.json.gz"
-        second = tmp_path / "with.json.gz"
-        victim = load_index(index_path).video_ids[0]
-        assert main(["ingest", str(index_path), str(first), "--retire", victim]) == 0
+        first = _like(master_path, tmp_path, "without")
+        second = _like(master_path, tmp_path, "with")
+        victim = _open(master_path).video_ids[0]
+        assert main(["ingest", str(master_path), str(first), "--retire", victim]) == 0
         assert (
             main(
                 [
@@ -143,9 +188,12 @@ class TestIngest:
             )
             == 0
         )
-        restored = load_index(second)
+        restored = _open(second)
         assert victim in restored.video_ids
 
+
+class TestIngestOnADeployment(_OnADeployment, TestIngest):
+    """Retire, apply-months and the ``--add`` round trip on a deployment."""
 
 class TestTypedErrorExits:
     def test_missing_index_exits_with_one_line(self, tmp_path, capsys):
@@ -183,6 +231,38 @@ class TestTypedErrorExits:
             == 2
         )
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_wal_flag_on_a_deployment_exits_2(
+        self, deployment_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        wal = tmp_path / "log.jsonl"
+        argv = ["ingest", str(deployment_path), str(out), "--wal", str(wal)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+        assert not wal.exists()
+
+    def test_deployment_with_a_wal_argument_exits_2(
+        self, deployment_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        wal = tmp_path / "log.jsonl"
+        assert main(["recover", str(deployment_path), str(wal), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_snapshot_without_a_wal_argument_exits_2(
+        self, index_path, tmp_path, capsys
+    ):
+        out = tmp_path / "out.json.gz"
+        assert main(["recover", str(index_path), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestWalAndRecover:
@@ -240,6 +320,36 @@ class TestWalAndRecover:
         assert captured.out.count(". v") == 3
 
 
+class TestWalAndRecoverOnADeployment(_OnADeployment, TestWalAndRecover):
+    """The round trips over a deployment, which journals to (and
+    recovers from) its own per-shard WALs: ``recover DEPLOYMENT OUTPUT``."""
+
+    # `recommend` serves snapshot files only.
+    test_degraded_recommend_prints_note = None
+
+    def test_ingest_with_wal_then_recover_round_trips(
+        self, master_path, tmp_path, capsys
+    ):
+        updated = tmp_path / "updated"
+        recovered = tmp_path / "recovered"
+        victim = _open(master_path).video_ids[-1]
+        argv = ["ingest", str(master_path), str(updated), "--retire", victim]
+        assert main([*argv, "--apply-months", "12-13"]) == 0
+        assert "wal seq" in capsys.readouterr().out
+        # Recover from the PRE-ingest snapshots: the per-shard WALs alone
+        # must carry the session to the exact state the ingest saved.
+        assert main(["recover", str(master_path), str(recovered)]) == 0
+        assert "replayed" in capsys.readouterr().out
+        assert _shard_bytes(recovered) == _shard_bytes(updated)
+
+    def test_recover_without_wal_reproduces_snapshot(
+        self, master_path, tmp_path, capsys
+    ):
+        out = tmp_path / "recovered"
+        assert main(["recover", str(master_path), str(out)]) == 0
+        assert "replayed 0" in capsys.readouterr().out
+        assert _open(out).video_ids == _open(master_path).video_ids
+
 class TestEvaluate:
     def test_reports_table(self, index_path, capsys):
         assert main(["evaluate", str(index_path), "--methods", "cr,sr"]) == 0
@@ -250,8 +360,8 @@ class TestEvaluate:
 
 
 class TestStats:
-    def test_prometheus_output_by_default(self, index_path, capsys):
-        assert main(["stats", str(index_path), "--queries", "2"]) == 0
+    def test_prometheus_output_by_default(self, master_path, capsys):
+        assert main(["stats", str(master_path), "--queries", "2"]) == 0
         output = capsys.readouterr().out
         assert "# TYPE repro_queries_total counter" in output
         assert "# TYPE repro_index_videos gauge" in output
@@ -265,28 +375,42 @@ class TestStats:
         assert snapshot["counters"]['repro_queries_total{engine="batch"}'] == 1
         assert snapshot["gauges"]["repro_index_videos"] == 24
 
-    def test_json_format(self, index_path, capsys):
+    def test_json_format(self, master_path, capsys):
         import json
 
-        assert main(["stats", str(index_path), "--format", "json"]) == 0
+        assert main(["stats", str(master_path), "--format", "json"]) == 0
         snapshot = json.loads(capsys.readouterr().out)
         assert set(snapshot) == {"counters", "gauges", "histograms"}
 
-    def test_output_file_written(self, index_path, tmp_path, capsys):
+    def test_output_file_written(self, master_path, tmp_path, capsys):
         import json
 
         out = tmp_path / "metrics.json"
-        assert main(["stats", str(index_path), "--output", str(out)]) == 0
+        assert main(["stats", str(master_path), "--output", str(out)]) == 0
         capsys.readouterr()
         snapshot = json.loads(out.read_text())
         assert "repro_index_videos" in snapshot["gauges"]
 
-    def test_zero_queries_still_reports_gauges(self, index_path, capsys):
-        assert main(["stats", str(index_path), "--queries", "0"]) == 0
+    def test_zero_queries_still_reports_gauges(self, master_path, capsys):
+        assert main(["stats", str(master_path), "--queries", "0"]) == 0
         output = capsys.readouterr().out
         assert "repro_index_videos" in output
         assert "repro_queries_total" not in output
 
+
+class TestStatsOnADeployment(_OnADeployment, TestStats):
+    def test_output_parses_back_to_snapshot(self, master_path, capsys):
+        from repro.obs import parse_prometheus
+
+        assert main(["stats", str(master_path), "--queries", "1"]) == 0
+        output = capsys.readouterr().out
+        assert "repro_index_shards 2" in output
+        assert 'repro_shard_videos{shard="1"}' in output
+        assert "repro_sharded_memo_hit_total" in output
+        snapshot = parse_prometheus(output)
+        # Each shard scans its slice once; the repeat pass hits the memo.
+        assert snapshot["counters"]['repro_queries_total{engine="batch"}'] == 2
+        assert snapshot["gauges"]["repro_index_videos"] == 24
 
 class TestTrace:
     def test_trace_flag_prints_span_tree(self, index_path, capsys):

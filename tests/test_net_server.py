@@ -351,6 +351,10 @@ class _StubGateway:
 
         self.current_epoch = _Epoch()
         self.epoch_key = 0
+        self.video_ids = _Epoch.video_ids
+
+    def has_video(self, video_id):
+        return video_id in self.current_epoch.series
 
     def recommend(self, video_id, top_k, deadline=None):
         if self.error is not None:

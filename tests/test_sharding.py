@@ -17,6 +17,7 @@ from dataclasses import replace
 import pytest
 
 from repro.community import build_workload
+from repro.community.models import Comment
 from repro.core import LiveCommunityIndex, RecommenderConfig
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.serving import GatewayConfig, ServingGateway
@@ -27,11 +28,15 @@ from repro.sharding import (
     ShardedIndex,
     ZOrderShardRouter,
     attach_wals,
+    companion_path,
     is_sharded_deployment,
     make_router,
+    open_master,
     read_manifest,
     recover_shards,
+    save_master,
     save_shards,
+    serving_gateway,
     shard_paths,
 )
 from repro.testing.faults import FaultPlan
@@ -407,3 +412,57 @@ class TestShardedMemo:
         gauges = registry.snapshot()["gauges"]
         assert 'repro_shard_videos{shard="0"}' in gauges
         assert 'repro_shard_videos{shard="1"}' in gauges
+
+
+class TestOneMasterSurface:
+    """A single index and a deployment answer the same calls."""
+
+    @staticmethod
+    def _pair(workload, config, shards: int = 2):
+        light = dict(build_lsb=False, build_global_features=False)
+        live = LiveCommunityIndex(workload.dataset, config, **light)
+        return live, ShardedIndex.build(workload.dataset, config, shards, **light)
+
+    def test_gateways_serve_the_same_catalogue(self, workload, config):
+        live, sharded = self._pair(workload, config, shards=4)
+        single = serving_gateway(live, config=NO_DEADLINE)
+        scattered = serving_gateway(sharded, config=NO_DEADLINE)
+        try:
+            assert isinstance(single, ServingGateway)
+            assert isinstance(scattered, ShardedGateway)
+            assert (single.num_shards, scattered.num_shards) == (1, 4)
+            assert scattered.video_ids == single.video_ids == live.video_ids
+            for video_id in [*live.video_ids[::7], "nope"]:
+                assert scattered.has_video(video_id) == single.has_video(video_id)
+            victim = live.video_ids[1]
+            scattered.retire_video(victim)
+            assert not scattered.has_video(victim)
+            assert victim not in scattered.video_ids
+        finally:
+            single.close()
+            scattered.close()
+
+    def test_open_and_save_master_tell_the_kinds_apart(
+        self, workload, config, tmp_path
+    ):
+        live, sharded = self._pair(workload, config)
+        snapshot, deployment = tmp_path / "index.json.gz", tmp_path / "deployment"
+        save_master(live, snapshot)
+        save_master(sharded, deployment)
+        assert snapshot.is_file() and is_sharded_deployment(deployment)
+        reopened = open_master(snapshot)
+        recovered = open_master(deployment)
+        assert isinstance(reopened, LiveCommunityIndex)
+        assert isinstance(recovered, ShardedIndex)
+        assert reopened.video_ids == recovered.video_ids == live.video_ids
+        assert recovered.up_to_month == live.up_to_month
+        assert companion_path(deployment, "x.wal") == deployment / "x.wal"
+        assert companion_path(snapshot, "x.wal") == tmp_path / "index.json.gz.x.wal"
+
+    def test_comment_history_reaches_every_shard(self, workload, config):
+        _, sharded = self._pair(workload, config)
+        extra = Comment(user_id="u-new", video_id=sharded.video_ids[0], month=3)
+        assert sharded.add_comment_history([extra]) == 1
+        assert all(shard.dataset.comments[-1] == extra for shard in sharded.shards)
+        assert sharded.dataset is sharded.shards[0].dataset
+        assert sharded.social_store is sharded.shards[0].social_store
